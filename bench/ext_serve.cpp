@@ -112,11 +112,19 @@ int main(int argc, char** argv) {
       static_cast<svc::ps_t>(cli.get_int("unhealthy-us", 5000)) * 1'000'000;
   cfg.recover_backlog_ps =
       static_cast<svc::ps_t>(cli.get_int("recover-us", 1000)) * 1'000'000;
-  cfg.deadline_ps = static_cast<svc::ps_t>(cli.get_int("deadline-ps", 0));
-  cfg.codel.target_ps =
-      static_cast<svc::ps_t>(cli.get_int("codel-target-ps", 0));
-  cfg.codel.interval_ps = static_cast<svc::ps_t>(
-      cli.get_int("codel-interval-ps", 10'000'000'000));
+  // ps_t is unsigned: a negative flag would wrap to a ~2^64 ps threshold.
+  const long long deadline_ps = cli.get_int("deadline-ps", 0);
+  const long long codel_target_ps = cli.get_int("codel-target-ps", 0);
+  const long long codel_interval_ps =
+      cli.get_int("codel-interval-ps", 10'000'000'000);
+  if (deadline_ps < 0 || codel_target_ps < 0 || codel_interval_ps < 0) {
+    std::cerr << "--deadline-ps, --codel-target-ps and --codel-interval-ps "
+                 "must be >= 0\n";
+    return 2;
+  }
+  cfg.deadline_ps = static_cast<svc::ps_t>(deadline_ps);
+  cfg.codel.target_ps = static_cast<svc::ps_t>(codel_target_ps);
+  cfg.codel.interval_ps = static_cast<svc::ps_t>(codel_interval_ps);
   const std::string policy = cli.get_string("policy", "reject");
   if (policy == "reject") {
     cfg.policy = svc::ShedPolicy::kReject;

@@ -116,8 +116,7 @@ RaceDetector::RaceDetector(int npes) : RaceDetector(npes, Options{}) {}
 RaceDetector::RaceDetector(int npes, Options opts)
     : npes_(npes), opts_(opts) {
   if (npes < 1) throw std::invalid_argument("RaceDetector: npes < 1");
-  if (opts_.granule < 1 || opts_.granule > 64 ||
-      (opts_.granule & (opts_.granule - 1)) != 0) {
+  if (!valid_granule(opts_.granule)) {
     throw std::invalid_argument(
         "RaceDetector: granule must be a power of two in [1, 64]");
   }

@@ -93,6 +93,11 @@ class RaceDetector final : public tilesim::SyncObserver {
     std::size_t max_reports = 256; ///< distinct reports kept (rest counted)
   };
 
+  /// Granules the shadow memory supports: powers of two in [1, 64].
+  [[nodiscard]] static constexpr bool valid_granule(std::size_t g) noexcept {
+    return g >= 1 && g <= 64 && (g & (g - 1)) == 0;
+  }
+
   /// Host-side accounting; scraped into `analysis.*` metrics.
   struct Stats {
     std::uint64_t checked_accesses = 0;  ///< instrumented accesses observed

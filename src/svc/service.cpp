@@ -48,9 +48,6 @@ Service::Service(tshmem::Cluster& cluster, ServiceConfig cfg)
   if (cfg_.closed_loop && cfg_.concurrency < 1) {
     throw std::invalid_argument("service: closed loop needs concurrency>=1");
   }
-  if (cfg_.deadline_ps < 0 || cfg_.codel.target_ps < 0) {
-    throw std::invalid_argument("service: negative admission thresholds");
-  }
   if (cfg_.timeseries_window_ps > 0 || !cfg_.blackbox_path.empty()) {
     cfg_.flightrec = true;
   }
@@ -365,8 +362,7 @@ ServiceReport Service::run() {
                 why.str().c_str());
   };
 
-  auto drop_deadline = [&](const PendingQuery& q, ps_t now, int rid,
-                           bool codel) {
+  auto drop_deadline = [&](ps_t now, int rid, bool codel) {
     ++rep.deadline_dropped;
     if (codel) ++rep.codel_dropped;
     m_deadline->add(1);
@@ -397,12 +393,12 @@ ServiceReport Service::run() {
   auto enqueue = [&](int rid, const PendingQuery& q, ps_t now) {
     const ps_t backlog = backlog_ps(rid, now);
     if (q.deadline_ps > 0 && now + backlog > q.deadline_ps) {
-      drop_deadline(q, now, rid, false);
+      drop_deadline(now, rid, false);
       return false;
     }
     ReplicaState& s = st[static_cast<std::size_t>(rid)];
     if (!s.codel.admit(backlog, now)) {
-      drop_deadline(q, now, rid, true);
+      drop_deadline(now, rid, true);
       return false;
     }
     const Batcher::AddResult added = s.batcher.add(q, now);

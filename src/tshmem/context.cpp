@@ -272,11 +272,12 @@ void Context::validate_transfer(const void* target, const void* source,
   if (bytes == 0) return;
   const auto* rb = static_cast<const std::byte*>(remote);
   if (remote_cls == AddrClass::kStatic) {
-    if (static_cast<std::size_t>(rb - private_base_) + bytes >
-        private_bytes_) {
+    if (!rt_->statics().contains_range(
+            static_cast<std::size_t>(rb - private_base_), bytes)) {
       throw Error(Errc::kOutOfBounds,
                   where("transfer of ") + std::to_string(bytes) +
-                      " bytes runs past the static symmetric arena");
+                      " bytes is not contained in one registered static "
+                      "symmetric object");
     }
   } else if (!heap_.contains_range(remote, bytes)) {
     throw Error(Errc::kOutOfBounds,

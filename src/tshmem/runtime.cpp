@@ -1,8 +1,13 @@
 #include "tshmem/runtime.hpp"
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -91,6 +96,7 @@ StaticRegistry::Entry StaticRegistry::reserve(const std::string& name,
   next_offset_ = offset + bytes;
   const Entry e{offset, bytes};
   entries_.emplace(name, e);
+  extents_.emplace(offset, bytes);
   return e;
 }
 
@@ -102,6 +108,18 @@ std::size_t StaticRegistry::bytes_used() const {
 std::size_t StaticRegistry::object_count() const {
   std::scoped_lock lk(mu_);
   return entries_.size();
+}
+
+bool StaticRegistry::contains_range(std::size_t offset,
+                                    std::size_t bytes) const {
+  std::scoped_lock lk(mu_);
+  // The object starting at or before `offset` is the only candidate:
+  // registered objects never overlap.
+  auto it = extents_.upper_bound(offset);
+  if (it == extents_.begin()) return false;
+  --it;
+  const std::size_t into = offset - it->first;
+  return into < it->second && bytes <= it->second - into;
 }
 
 Runtime::Runtime(const DeviceConfig& cfg, RuntimeOptions opts)
@@ -116,6 +134,14 @@ Runtime::Runtime(const DeviceConfig& cfg, RuntimeOptions opts)
       statics_(opts.private_per_pe) {
   if (opts.heap_per_pe < (std::size_t{1} << 16)) {
     throw std::invalid_argument("heap_per_pe too small");
+  }
+  racecheck_mode_ = racecheck_env(opts.racecheck);
+  racecheck_granule_ = static_cast<std::size_t>(
+      int_env("TSHMEM_RACECHECK_GRANULE",
+              static_cast<int>(opts.racecheck_granule)));
+  if (!analysis::RaceDetector::valid_granule(racecheck_granule_)) {
+    throw std::invalid_argument(
+        "racecheck_granule must be a power of two in [1, 64]");
   }
   metrics_enabled_ = metrics_env_enabled(opts.metrics);
   if (metrics_enabled_) {
@@ -171,11 +197,6 @@ Runtime::Runtime(const DeviceConfig& cfg, RuntimeOptions opts)
         });
   }
 
-  racecheck_mode_ = racecheck_env(opts.racecheck);
-  racecheck_granule_ = static_cast<std::size_t>(
-      int_env("TSHMEM_RACECHECK_GRANULE",
-              static_cast<int>(opts.racecheck_granule)));
-
   const int wd_ms = int_env("TSHMEM_WATCHDOG_MS", opts.watchdog_ms);
   if (wd_ms > 0) {
     watchdog_.timeout = std::chrono::milliseconds(wd_ms);
@@ -209,7 +230,11 @@ std::byte* Runtime::private_base(int pe) const {
   if (pe < 0 || pe >= npes_) {
     throw std::out_of_range("private_base: PE out of range");
   }
-  return private_arenas_[static_cast<std::size_t>(pe)]->data();
+  return private_arenas_[static_cast<std::size_t>(pe)].get();
+}
+
+void Runtime::ArenaUnmap::operator()(std::byte* p) const noexcept {
+  ::munmap(p, bytes);
 }
 
 Context& Runtime::context(int pe) const {
@@ -344,13 +369,21 @@ void Runtime::setup_job(int npes) {
       map_with_retry("tshmem_partitions",
                      static_cast<std::size_t>(npes) * opts_.heap_per_pe,
                      opts_.partition_homing, /*creator_tile=*/0));
-  private_arenas_.clear();
+  // Arenas persist across jobs: only PEs no earlier job ran need one.
+  // mmap rejects a zero length, so an empty arena still maps one page.
+  const std::size_t arena_bytes =
+      std::max<std::size_t>(opts_.private_per_pe, 1);
+  while (private_arenas_.size() < static_cast<std::size_t>(npes)) {
+    void* arena = ::mmap(nullptr, arena_bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (arena == MAP_FAILED) throw std::bad_alloc();
+    private_arenas_.emplace_back(static_cast<std::byte*>(arena),
+                                 ArenaUnmap{arena_bytes});
+  }
   contexts_.clear();
   delivery_.clear();
   symmetry_slots_.assign(static_cast<std::size_t>(npes), 0);
   for (int pe = 0; pe < npes; ++pe) {
-    private_arenas_.push_back(
-        std::make_unique<std::vector<std::byte>>(opts_.private_per_pe));
     delivery_.push_back(std::make_unique<std::atomic<ps_t>>(0));
   }
   pe_states_.clear();
@@ -362,8 +395,7 @@ void Runtime::setup_job(int npes) {
   for (int pe = 0; pe < npes; ++pe) {
     contexts_.push_back(std::make_unique<Context>(
         *this, pe, device_.tile(pe), partition_base(pe), opts_.heap_per_pe,
-        private_arenas_[static_cast<std::size_t>(pe)]->data(),
-        opts_.private_per_pe));
+        private_base(pe), opts_.private_per_pe));
     if (fault_engine_ != nullptr && fault_engine_->heap_cap_bytes() != 0) {
       contexts_.back()->heap().set_alloc_cap(fault_engine_->heap_cap_bytes());
     }
@@ -402,8 +434,17 @@ void Runtime::teardown_job() {
     race_detector_.reset();
   }
   contexts_.clear();
-  private_arenas_.clear();
   delivery_.clear();
+  // StaticRegistry is append-only, so [0, bytes_used()) covers every
+  // object any job has registered: re-zeroing it on the arenas this job
+  // ran on hands the next job zeroed statics. Idle arenas were re-zeroed
+  // by the last job that ran on them and are untouched since.
+  const std::size_t dirty = statics_.bytes_used();
+  const std::size_t ran =
+      std::min(static_cast<std::size_t>(npes_), private_arenas_.size());
+  for (std::size_t pe = 0; pe < ran; ++pe) {
+    std::memset(private_arenas_[pe].get(), 0, dirty);
+  }
   for (std::size_t pe = 0; pe < bounce_slots_.size(); ++pe) {
     if (bounce_slots_[pe] != nullptr) {
       cmem_.unmap("tshmem_bounce_pe" + std::to_string(pe));
@@ -415,8 +456,10 @@ void Runtime::teardown_job() {
     std::scoped_lock lk(spin_mu_);
     spin_barriers_.clear();
   }
-  cmem_.unmap("tshmem_partitions");
-  partitions_ = nullptr;
+  if (partitions_ != nullptr) {
+    cmem_.unmap("tshmem_partitions");
+    partitions_ = nullptr;
+  }
   npes_ = 0;
 }
 
@@ -433,6 +476,7 @@ void Runtime::run(int npes, const std::function<void(Context&)>& fn) {
   try {
     setup_job(npes);
   } catch (...) {
+    teardown_job();  // undo whatever setup already built
     running_.store(false, std::memory_order_release);
     throw;
   }

@@ -63,17 +63,23 @@ class StaticRegistry {
   }
   [[nodiscard]] std::size_t bytes_used() const;
   [[nodiscard]] std::size_t object_count() const;
+  /// True when [offset, offset + bytes) lies inside one registered object
+  /// (the TSHMEM_DEBUG bounds check for static transfers).
+  [[nodiscard]] bool contains_range(std::size_t offset,
+                                    std::size_t bytes) const;
 
  private:
   std::size_t arena_bytes_;
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;
+  std::map<std::size_t, std::size_t> extents_;  // offset -> bytes
   std::size_t next_offset_ = 0;
 };
 
 struct RuntimeOptions {
   std::size_t heap_per_pe = std::size_t{32} << 20;    ///< symmetric partition
-  std::size_t private_per_pe = std::size_t{8} << 20;  ///< static arena
+  /// Static arena per PE, kept from a PE's first job to the Runtime's end.
+  std::size_t private_per_pe = std::size_t{8} << 20;
   tilesim::Homing partition_homing = tilesim::Homing::kHashForHome;
   BarrierAlgo barrier_algo = BarrierAlgo::kLinearToken;
   /// Debug aid: verify collectively at every shmalloc/shfree that all PEs
@@ -126,7 +132,8 @@ struct RuntimeOptions {
   /// Shadow-memory granule in bytes (power of two in [1, 64]); accesses
   /// to disjoint bytes of one granule never conflict thanks to per-byte
   /// masks, so the granule trades host memory for lookup locality only.
-  /// The TSHMEM_RACECHECK_GRANULE environment variable overrides it.
+  /// The TSHMEM_RACECHECK_GRANULE environment variable overrides it; the
+  /// constructor rejects any value outside that set.
   std::size_t racecheck_granule = 8;
   /// Enable the per-PE flight recorder (src/obs/flightrec;
   /// docs/OBSERVABILITY.md): a fixed-capacity ring of compact event records
@@ -184,7 +191,8 @@ class Runtime {
 
   /// Base of PE `pe`'s symmetric partition (valid during run()).
   [[nodiscard]] std::byte* partition_base(int pe) const;
-  /// Base of PE `pe`'s private (static symmetric) arena.
+  /// Base of PE `pe`'s private (static symmetric) arena (valid during
+  /// run(); the arena itself lives as long as the Runtime).
   [[nodiscard]] std::byte* private_base(int pe) const;
 
   [[nodiscard]] Context& context(int pe) const;
@@ -325,7 +333,15 @@ class Runtime {
 
   int npes_ = 0;
   std::byte* partitions_ = nullptr;  // npes_ * heap_per_pe, in cmem_
-  std::vector<std::unique_ptr<std::vector<std::byte>>> private_arenas_;
+  // Static arenas, one per PE any job has used, kept for the Runtime's
+  // life like the paper's link-time globals. Each is an anonymous mapping
+  // of kernel zero pages, so pages no job writes never become resident;
+  // teardown_job re-zeroes the registered extent.
+  struct ArenaUnmap {
+    std::size_t bytes;
+    void operator()(std::byte* p) const noexcept;
+  };
+  std::vector<std::unique_ptr<std::byte, ArenaUnmap>> private_arenas_;
   std::vector<std::unique_ptr<Context>> contexts_;
 
   std::vector<std::unique_ptr<std::atomic<ps_t>>> delivery_;

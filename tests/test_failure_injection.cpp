@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <functional>
+#include <vector>
 
 #include "tshmem/context.hpp"
 #include "tshmem/runtime.hpp"
@@ -74,6 +77,37 @@ TEST(FailureInjection, StaticArenaExhaustionThrows) {
              }),
       std::runtime_error);
   // Runtime reusable after the failed job.
+  rt.run(2, [](Context& ctx) { ctx.barrier_all(); });
+}
+
+TEST(FailureInjection, FailedJobSetupLeavesRuntimeReusable) {
+  // No host can back this arena, so setup fails after it has mapped the
+  // symmetric partitions. The runtime must undo that mapping and the PE
+  // count; a leak would make the next run fail differently, on a
+  // "duplicate common-memory mapping".
+  RuntimeOptions opts;
+  opts.private_per_pe = std::size_t{1} << 62;
+  Runtime rt(tilesim::tile_gx36(), opts);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_THROW(rt.run(2, [](Context&) {}), std::bad_alloc);
+    EXPECT_EQ(rt.cmem().mapping_count(), 0u);
+    EXPECT_EQ(rt.npes(), 0);
+  }
+}
+
+TEST(FailureInjection, BadRacecheckGranuleRejectedAtConstruction) {
+  // Caught when the Runtime is built, not by the first run's setup.
+  RuntimeOptions opts;
+  opts.racecheck = tshmem::analysis::RaceMode::kReport;
+  opts.racecheck_granule = 3;
+  EXPECT_THROW({ Runtime rt(tilesim::tile_gx36(), opts); },
+               std::invalid_argument);
+  opts.racecheck_granule = 8;
+  ASSERT_EQ(::setenv("TSHMEM_RACECHECK_GRANULE", "3", 1), 0);
+  EXPECT_THROW({ Runtime rt(tilesim::tile_gx36(), opts); },
+               std::invalid_argument);
+  ASSERT_EQ(::unsetenv("TSHMEM_RACECHECK_GRANULE"), 0);
+  Runtime rt(tilesim::tile_gx36(), opts);
   rt.run(2, [](Context& ctx) { ctx.barrier_all(); });
 }
 
@@ -220,6 +254,94 @@ TEST(FailureInjection, ForeignPointerShfreeSurfacesStructuredError) {
     EXPECT_NE(ok, nullptr);
     EXPECT_TRUE(ctx.heap().validate());
     ctx.shfree(ok);
+  });
+}
+
+/// Runs one transfer and returns the structured code it raised, or
+/// Errc{} (no code) when the transfer went through.
+tshmem::Errc raised(const std::function<void()>& transfer) {
+  try {
+    transfer();
+  } catch (const tshmem::Error& e) {
+    return e.code();
+  }
+  return tshmem::Errc{};
+}
+
+// TSHMEM_DEBUG validation (docs/ROBUSTNESS.md codes 1-3) on the static
+// side: the remote range must lie inside one registered static object.
+TEST(DebugValidation, StaticTransfersSurfaceStructuredErrors) {
+  using tshmem::Errc;
+  RuntimeOptions opts;
+  opts.debug_validation = true;
+  Runtime rt(tilesim::tile_gx36(), opts);
+  rt.run(2, [](Context& ctx) {
+    long* a = ctx.static_sym<long>("debug_a", 4);
+    long* b = ctx.static_sym<long>("debug_b", 4);
+    ASSERT_EQ(b, a + 4);  // adjacent: a range can run from one into b
+    long local[8] = {};
+    const int peer = 1 - ctx.my_pe();
+    EXPECT_EQ(raised([&] { ctx.put(a, local, sizeof(long), 2); }),
+              Errc::kInvalidPe);
+    EXPECT_EQ(raised([&] { ctx.get(local, a, sizeof(long), -1); }),
+              Errc::kInvalidPe);
+    // A static local side does not make a non-symmetric remote side valid.
+    EXPECT_EQ(raised([&] { ctx.put(local, a, sizeof(long), peer); }),
+              Errc::kNotSymmetric);
+    EXPECT_EQ(raised([&] { ctx.get(a, local, sizeof(long), peer); }),
+              Errc::kNotSymmetric);
+    // Inside the arena, but not inside one object.
+    EXPECT_EQ(raised([&] { ctx.put(a, local, 8 * sizeof(long), peer); }),
+              Errc::kOutOfBounds);
+    EXPECT_EQ(raised([&] { ctx.get(local, a + 2, 4 * sizeof(long), peer); }),
+              Errc::kOutOfBounds);
+    EXPECT_EQ(raised([&] { ctx.put(b + 4, local, sizeof(long), peer); }),
+              Errc::kOutOfBounds);
+    EXPECT_EQ(raised([&] { ctx.put_nbi(a, local, 8 * sizeof(long), peer); }),
+              Errc::kOutOfBounds);
+    // Whole-object transfers pass.
+    EXPECT_EQ(raised([&] { ctx.put(b, local, 4 * sizeof(long), peer); }),
+              Errc{});
+    ctx.barrier_all();
+    EXPECT_EQ(raised([&] { ctx.get(local, a, 4 * sizeof(long), peer); }),
+              Errc{});
+    ctx.barrier_all();
+  });
+}
+
+// The same codes on the heap side: the remote range must lie inside one
+// live symmetric-heap allocation.
+TEST(DebugValidation, HeapTransfersSurfaceStructuredErrors) {
+  using tshmem::Errc;
+  RuntimeOptions opts;
+  opts.debug_validation = true;
+  Runtime rt(tilesim::tile_gx36(), opts);
+  rt.run(2, [](Context& ctx) {
+    long* d = ctx.shmalloc_n<long>(4);
+    std::vector<long> local(64, 0);
+    const int peer = 1 - ctx.my_pe();
+    EXPECT_EQ(raised([&] { ctx.put(d, local.data(), sizeof(long), 2); }),
+              Errc::kInvalidPe);
+    EXPECT_EQ(raised([&] { ctx.get(local.data(), d, sizeof(long), -1); }),
+              Errc::kInvalidPe);
+    EXPECT_EQ(raised([&] {
+                ctx.get(d, local.data(), sizeof(long), peer);
+              }),
+              Errc::kNotSymmetric);
+    EXPECT_EQ(raised([&] {
+                ctx.put(d, local.data(), local.size() * sizeof(long), peer);
+              }),
+              Errc::kOutOfBounds);
+    EXPECT_EQ(raised([&] {
+                ctx.get_nbi(local.data(), d + 2, 32 * sizeof(long), peer);
+              }),
+              Errc::kOutOfBounds);
+    EXPECT_EQ(raised([&] {
+                ctx.put(d, local.data(), 4 * sizeof(long), peer);
+              }),
+              Errc{});
+    ctx.barrier_all();
+    ctx.shfree(d);
   });
 }
 

@@ -140,7 +140,9 @@ TEST(FaultPlan, CrashAndFlapVerdictsAreDeterministicAndTargeted) {
       EXPECT_EQ(crash, b.shard_crash(replica, now));
       // The targeted crash site never fires off-target, but still
       // consumes its ordinal there (stream alignment).
-      if (replica != 2) EXPECT_FALSE(crash);
+      if (replica != 2) {
+        EXPECT_FALSE(crash);
+      }
       EXPECT_EQ(a.replica_flap(replica, now), b.replica_flap(replica, now));
     }
   }

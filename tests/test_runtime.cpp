@@ -46,6 +46,23 @@ TEST(StaticRegistry, Validation) {
   EXPECT_THROW((void)reg.reserve("z", 8, 3), std::invalid_argument);
 }
 
+TEST(StaticRegistry, ContainsRangeStaysInsideOneObject) {
+  StaticRegistry reg(1 << 20);
+  const auto a = reg.reserve("a", 16, 8);
+  const auto b = reg.reserve("b", 16, 8);
+  const auto c = reg.reserve("c", 8, 64);
+  ASSERT_EQ(b.offset, a.offset + 16);  // adjacent objects
+  ASSERT_GT(c.offset, b.offset + 16);  // alignment gap before c
+  EXPECT_TRUE(reg.contains_range(a.offset, 16));
+  EXPECT_TRUE(reg.contains_range(a.offset + 8, 8));
+  EXPECT_FALSE(reg.contains_range(a.offset + 8, 16));  // spills into b
+  EXPECT_TRUE(reg.contains_range(b.offset, 16));
+  EXPECT_FALSE(reg.contains_range(b.offset + 16, 1));  // in the gap
+  EXPECT_TRUE(reg.contains_range(c.offset, 8));
+  EXPECT_FALSE(reg.contains_range(c.offset + 8, 1));  // past every object
+  EXPECT_FALSE(reg.contains_range(c.offset, ~std::size_t{0}));
+}
+
 TEST(Runtime, RejectsBadNpes) {
   Runtime rt(tilesim::tile_gx36());
   EXPECT_THROW(rt.run(0, [](Context&) {}), std::invalid_argument);
@@ -144,6 +161,84 @@ TEST(Runtime, StaticSymSameOffsetPrivateStorage) {
   std::set<int*> unique;
   for (const auto& [pe, p] : ptrs) unique.insert(p);
   EXPECT_EQ(unique.size(), 4u);
+}
+
+TEST(Runtime, StaticArenasPersistAcrossJobs) {
+  Runtime rt(tilesim::tile_gx36());
+  std::vector<std::byte*> first(4), again(4);
+  rt.run(4, [&](Context& ctx) {
+    first[static_cast<std::size_t>(ctx.my_pe())] =
+        ctx.runtime().private_base(ctx.my_pe());
+  });
+  rt.run(2, [](Context& ctx) { ctx.barrier_all(); });
+  rt.run(4, [&](Context& ctx) {
+    again[static_cast<std::size_t>(ctx.my_pe())] =
+        ctx.runtime().private_base(ctx.my_pe());
+  });
+  EXPECT_EQ(first, again);
+  EXPECT_EQ(std::set<std::byte*>(first.begin(), first.end()).size(), 4u);
+}
+
+TEST(Runtime, EveryJobStartsWithZeroedStatics) {
+  // Arenas outlive jobs, so the runtime re-zeroes what a job wrote. Going
+  // 4 -> 2 -> 4 PEs leaves arenas 2 and 3 idle for a job, then reuses them.
+  constexpr int kWords = 8;
+  constexpr int kHalf = kWords / 2;
+  Runtime rt(tilesim::tile_gx36());
+  std::atomic<int> nonzero{0};
+  auto expect_zero = [&](const long* obj) {
+    for (int i = 0; i < kWords; ++i) {
+      if (obj[i] != 0) nonzero.fetch_add(1);
+    }
+  };
+  // Dirties `obj` on every PE: the first half by local stores, the second
+  // half by a static put (the interrupt/bounce path) from the previous PE.
+  auto dirty = [](Context& ctx, long* obj) {
+    const int n = ctx.num_pes();
+    const int pe = ctx.my_pe();
+    for (int i = 0; i < kHalf; ++i) obj[i] = 100 + pe;
+    ctx.barrier_all();
+    ctx.put(obj + kHalf, obj, kHalf * sizeof(long), (pe + 1) % n);
+    ctx.barrier_all();
+    EXPECT_EQ(obj[kHalf], 100 + (pe + n - 1) % n);
+  };
+
+  rt.run(4, [&](Context& ctx) {
+    long* a = ctx.static_sym<long>("reset_a", kWords);
+    expect_zero(a);
+    dirty(ctx, a);
+  });
+  rt.run(2, [&](Context& ctx) {
+    long* a = ctx.static_sym<long>("reset_a", kWords);
+    long* b = ctx.static_sym<long>("reset_b", kWords);  // first seen here
+    expect_zero(a);
+    expect_zero(b);
+    dirty(ctx, a);
+    dirty(ctx, b);
+  });
+  rt.run(4, [&](Context& ctx) {
+    long* a = ctx.static_sym<long>("reset_a", kWords);
+    long* b = ctx.static_sym<long>("reset_b", kWords);
+    long* c = ctx.static_sym<long>("reset_c", kWords);  // first seen here
+    expect_zero(a);
+    expect_zero(b);
+    expect_zero(c);
+    dirty(ctx, b);
+    dirty(ctx, c);
+  });
+  // A job that dies after writing still hands the next one zeroed statics.
+  EXPECT_THROW(rt.run(4,
+                      [&](Context& ctx) {
+                        dirty(ctx, ctx.static_sym<long>("reset_a", kWords));
+                        if (ctx.my_pe() == 1) throw std::runtime_error("die");
+                      }),
+               std::runtime_error);
+  rt.run(4, [&](Context& ctx) {
+    expect_zero(ctx.static_sym<long>("reset_a", kWords));
+    expect_zero(ctx.static_sym<long>("reset_b", kWords));
+    expect_zero(ctx.static_sym<long>("reset_c", kWords));
+  });
+  EXPECT_EQ(nonzero.load(), 0);
 }
 
 TEST(Runtime, ShmemPtrOnlyForDynamic) {
