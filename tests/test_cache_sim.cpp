@@ -3,6 +3,9 @@
 // capacity-transition property that ties it to the analytic MemModel.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "sim/cache_sim.hpp"
 
 namespace {
@@ -76,10 +79,15 @@ TEST(CacheSim, Gx36HierarchyCapacities) {
 
 // The central property: steady-state residency transitions at the L1d, L2
 // and DDC capacities — the same breakpoints the Fig 3 curve encodes.
+// gtest names each case by dumping its bytes, so the padding is a zeroed
+// member: implicit padding holds stale memory and would make the test names
+// change from run to run.
 struct SweepCase {
   std::size_t working_set;
   HitLevel expected_majority;
+  std::uint8_t pad[7];
 };
+static_assert(std::has_unique_object_representations_v<SweepCase>);
 
 class CapacityTransitionTest : public ::testing::TestWithParam<SweepCase> {};
 
@@ -106,10 +114,10 @@ TEST_P(CapacityTransitionTest, SteadyStateResidency) {
 INSTANTIATE_TEST_SUITE_P(
     Gx36, CapacityTransitionTest,
     ::testing::Values(
-        SweepCase{16 * 1024, HitLevel::kL1},    // within 32 kB L1d
-        SweepCase{128 * 1024, HitLevel::kL2},   // within 256 kB L2
-        SweepCase{2 << 20, HitLevel::kDdc},     // within ~8.4 MB DDC
-        SweepCase{64 << 20, HitLevel::kDram})); // beyond everything
+        SweepCase{16 * 1024, HitLevel::kL1, {}},    // within 32 kB L1d
+        SweepCase{128 * 1024, HitLevel::kL2, {}},   // within 256 kB L2
+        SweepCase{2 << 20, HitLevel::kDdc, {}},     // within ~8.4 MB DDC
+        SweepCase{64 << 20, HitLevel::kDram, {}})); // beyond everything
 
 TEST(CacheSim, LocalHomingNeverUsesDdc) {
   // Paper §III-A: locally-homed pages cannot be distributed into other

@@ -3,7 +3,9 @@
 // types, operators, active sets, and PE counts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "tshmem/context.hpp"
@@ -19,13 +21,19 @@ using tshmem::RedOp;
 using tshmem::ReduceAlgo;
 using tshmem::Runtime;
 
+// gtest names each case by dumping its bytes, so the case structs spell out
+// their padding as zeroed members: implicit padding holds stale memory and
+// would make the test names change from run to run.
+
 // --- broadcast -----------------------------------------------------------------
 
 struct BcastCase {
   BcastAlgo algo;
+  std::uint8_t pad[3];
   int npes;
   int root_index;
 };
+static_assert(std::has_unique_object_representations_v<BcastCase>);
 
 class BroadcastTest : public ::testing::TestWithParam<BcastCase> {};
 
@@ -54,16 +62,16 @@ TEST_P(BroadcastTest, DeliversRootDataToAllMembers) {
 
 INSTANTIATE_TEST_SUITE_P(
     AlgoSweep, BroadcastTest,
-    ::testing::Values(BcastCase{BcastAlgo::kPush, 2, 0},
-                      BcastCase{BcastAlgo::kPush, 7, 3},
-                      BcastCase{BcastAlgo::kPush, 16, 0},
-                      BcastCase{BcastAlgo::kPull, 2, 1},
-                      BcastCase{BcastAlgo::kPull, 9, 4},
-                      BcastCase{BcastAlgo::kPull, 16, 0},
-                      BcastCase{BcastAlgo::kBinomial, 2, 0},
-                      BcastCase{BcastAlgo::kBinomial, 8, 5},
-                      BcastCase{BcastAlgo::kBinomial, 13, 7},
-                      BcastCase{BcastAlgo::kBinomial, 16, 15}));
+    ::testing::Values(BcastCase{BcastAlgo::kPush, {}, 2, 0},
+                      BcastCase{BcastAlgo::kPush, {}, 7, 3},
+                      BcastCase{BcastAlgo::kPush, {}, 16, 0},
+                      BcastCase{BcastAlgo::kPull, {}, 2, 1},
+                      BcastCase{BcastAlgo::kPull, {}, 9, 4},
+                      BcastCase{BcastAlgo::kPull, {}, 16, 0},
+                      BcastCase{BcastAlgo::kBinomial, {}, 2, 0},
+                      BcastCase{BcastAlgo::kBinomial, {}, 8, 5},
+                      BcastCase{BcastAlgo::kBinomial, {}, 13, 7},
+                      BcastCase{BcastAlgo::kBinomial, {}, 16, 15}));
 
 TEST(Broadcast, SeparateTargetAndSourceBuffers) {
   Runtime rt(tilesim::tile_gx36());
@@ -162,8 +170,10 @@ TEST(Broadcast, PushSerializesOnRootInVirtualTime) {
 
 struct CollectCase {
   CollectAlgo algo;
+  std::uint8_t pad[3];
   int npes;
 };
+static_assert(std::has_unique_object_representations_v<CollectCase>);
 
 class FcollectTest : public ::testing::TestWithParam<CollectCase> {};
 
@@ -190,14 +200,15 @@ TEST_P(FcollectTest, ConcatenatesFixedBlocksInPeOrder) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(AlgoSweep, FcollectTest,
-                         ::testing::Values(CollectCase{CollectAlgo::kNaive, 1},
-                                           CollectCase{CollectAlgo::kNaive, 2},
-                                           CollectCase{CollectAlgo::kNaive, 6},
-                                           CollectCase{CollectAlgo::kNaive, 16},
-                                           CollectCase{CollectAlgo::kRing, 2},
-                                           CollectCase{CollectAlgo::kRing, 6},
-                                           CollectCase{CollectAlgo::kRing, 16}));
+INSTANTIATE_TEST_SUITE_P(
+    AlgoSweep, FcollectTest,
+    ::testing::Values(CollectCase{CollectAlgo::kNaive, {}, 1},
+                      CollectCase{CollectAlgo::kNaive, {}, 2},
+                      CollectCase{CollectAlgo::kNaive, {}, 6},
+                      CollectCase{CollectAlgo::kNaive, {}, 16},
+                      CollectCase{CollectAlgo::kRing, {}, 2},
+                      CollectCase{CollectAlgo::kRing, {}, 6},
+                      CollectCase{CollectAlgo::kRing, {}, 16}));
 
 TEST(Collect, VariableSizedContributions) {
   Runtime rt(tilesim::tile_gx36());
@@ -281,8 +292,10 @@ TEST(Fcollect, ActiveSetSubset) {
 
 struct ReduceCase {
   ReduceAlgo algo;
+  std::uint8_t pad[3];
   int npes;
 };
+static_assert(std::has_unique_object_representations_v<ReduceCase>);
 
 class ReduceTest : public ::testing::TestWithParam<ReduceCase> {};
 
@@ -309,14 +322,14 @@ TEST_P(ReduceTest, IntSumMatchesClosedForm) {
 
 INSTANTIATE_TEST_SUITE_P(
     AlgoSweep, ReduceTest,
-    ::testing::Values(ReduceCase{ReduceAlgo::kNaive, 1},
-                      ReduceCase{ReduceAlgo::kNaive, 2},
-                      ReduceCase{ReduceAlgo::kNaive, 7},
-                      ReduceCase{ReduceAlgo::kNaive, 16},
-                      ReduceCase{ReduceAlgo::kRecursiveDoubling, 2},
-                      ReduceCase{ReduceAlgo::kRecursiveDoubling, 5},
-                      ReduceCase{ReduceAlgo::kRecursiveDoubling, 8},
-                      ReduceCase{ReduceAlgo::kRecursiveDoubling, 16}));
+    ::testing::Values(ReduceCase{ReduceAlgo::kNaive, {}, 1},
+                      ReduceCase{ReduceAlgo::kNaive, {}, 2},
+                      ReduceCase{ReduceAlgo::kNaive, {}, 7},
+                      ReduceCase{ReduceAlgo::kNaive, {}, 16},
+                      ReduceCase{ReduceAlgo::kRecursiveDoubling, {}, 2},
+                      ReduceCase{ReduceAlgo::kRecursiveDoubling, {}, 5},
+                      ReduceCase{ReduceAlgo::kRecursiveDoubling, {}, 8},
+                      ReduceCase{ReduceAlgo::kRecursiveDoubling, {}, 16}));
 
 TEST(Reduce, AllOperatorsOnInts) {
   Runtime rt(tilesim::tile_gx36());
