@@ -90,9 +90,9 @@ UdnFabric::Queue& UdnFabric::queue_at(int tile, int queue) const {
   return *queues_[static_cast<std::size_t>(tile * queues_per_tile_ + queue)];
 }
 
-ps_t UdnFabric::wire_latency_ps(int src_tile, int dst_tile, int words) const {
-  const auto& cfg = device_->config();
-  const auto& topo = device_->topology();
+ps_t udn_wire_latency_ps(const tilesim::DeviceConfig& cfg,
+                         const tilesim::Topology& topo, int src_tile,
+                         int dst_tile, int words) {
   const ps_t cycle = cfg.cycle_ps();
   std::int64_t lat = static_cast<std::int64_t>(cfg.udn_setup_teardown_ps);
   if (src_tile != dst_tile) {
@@ -111,6 +111,24 @@ ps_t UdnFabric::wire_latency_ps(int src_tile, int dst_tile, int words) const {
            static_cast<std::int64_t>(cycle);
   }
   return lat < 0 ? 0 : static_cast<ps_t>(lat);
+}
+
+ps_t UdnFabric::wire_latency_ps(int src_tile, int dst_tile, int words) const {
+  return udn_wire_latency_ps(device_->config(), device_->topology(), src_tile,
+                             dst_tile, words);
+}
+
+void UdnFabric::count_traffic(int src_tile, int dst_tile, std::size_t words,
+                              std::uint64_t packets) {
+  TrafficCell& c = *traffic_[static_cast<std::size_t>(src_tile)];
+  c.packets.fetch_add(packets, std::memory_order_relaxed);
+  c.words.fetch_add(packets * words, std::memory_order_relaxed);
+  if (src_tile != dst_tile) {
+    c.hops.fetch_add(
+        packets * static_cast<std::uint64_t>(
+                      device_->topology().hops(src_tile, dst_tile)),
+        std::memory_order_relaxed);
+  }
 }
 
 void UdnFabric::send(Tile& sender, int dst_tile, int queue,
@@ -132,14 +150,13 @@ void UdnFabric::send(Tile& sender, int dst_tile, int queue,
   pkt.payload.assign(words.begin(), words.end());
   pkt.checksum = udn_checksum(pkt.src_tile, pkt.header, words);
 
-  TrafficCell& traffic = *traffic_[static_cast<std::size_t>(sender.id())];
-
   // Fault injection: every injection attempt may be dropped or corrupted
   // at the link (link-level CRC catches the bad flit); the sender backs
   // off exponentially in virtual time and retries, bounded by the plan.
   ps_t inject_delay_ps = 0;
   if (tilesim::FaultEngine* fault = device_->fault(); fault != nullptr) {
     const tilesim::FaultPlan& plan = fault->plan();
+    TrafficCell& traffic = *traffic_[static_cast<std::size_t>(sender.id())];
     int attempt = 0;
     for (;;) {
       const auto d = fault->udn_attempt(sender.id(), sender.clock().now());
@@ -194,15 +211,7 @@ void UdnFabric::send(Tile& sender, int dst_tile, int queue,
   // cycle per word; the wire latency itself is charged to the receiver via
   // the arrival timestamp.
   sender.clock().advance(static_cast<ps_t>(words.size()) * cfg.cycle_ps());
-  // Traffic accounting (metrics scrape): host-side only, zero virtual cost.
-  traffic.packets.fetch_add(1, std::memory_order_relaxed);
-  traffic.words.fetch_add(words.size(), std::memory_order_relaxed);
-  if (sender.id() != dst_tile) {
-    traffic.hops.fetch_add(
-        static_cast<std::uint64_t>(
-            device_->topology().hops(sender.id(), dst_tile)),
-        std::memory_order_relaxed);
-  }
+  count_traffic(sender.id(), dst_tile, words.size());
   tilesim::flight_event(*device_, sender.id(), tilesim::FlightKind::kUdnSend,
                         "udn_send", sender.clock().now(), dst_tile,
                         words.size() * sizeof(std::uint64_t));

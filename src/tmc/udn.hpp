@@ -69,6 +69,12 @@ struct UdnPacket {
                                          std::span<const std::uint64_t> words)
     noexcept;
 
+/// The wire model above as a pure function of the device's config and
+/// mesh: virtual time for a packet of `words` payload words from src to dst.
+[[nodiscard]] ps_t udn_wire_latency_ps(const tilesim::DeviceConfig& cfg,
+                                       const tilesim::Topology& topo,
+                                       int src_tile, int dst_tile, int words);
+
 class UdnFabric {
  public:
   explicit UdnFabric(Device& device);
@@ -113,6 +119,13 @@ class UdnFabric {
   /// of `words` payload words from src to dst.
   [[nodiscard]] ps_t wire_latency_ps(int src_tile, int dst_tile,
                                      int words) const;
+
+  /// Adds `packets` packets of `words` payload words each, from src to
+  /// dst, to src's traffic counters, exactly as send() counts one packet.
+  /// For protocol layers that compute a message exchange in closed form
+  /// instead of sending it. Host-side only: zero virtual cost.
+  void count_traffic(int src_tile, int dst_tile, std::size_t words,
+                     std::uint64_t packets = 1);
 
   /// Total words currently buffered in a destination queue (for tests).
   [[nodiscard]] std::size_t queued_words(int tile, int queue) const;

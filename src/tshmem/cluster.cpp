@@ -173,11 +173,13 @@ void ClusterContext::put(void* target, const void* source, std::size_t bytes,
   // completes locally once the last byte is serialized + lands.
   local_->tile().clock().advance(
       local_->runtime().config().shmem_call_overhead_ps);
-  std::memcpy(remote, source, bytes);
   local_->tile().clock().advance(engine.one_way_ps(bytes));
+  // Delivery time before the data, so a poller that sees the data also
+  // sees when it landed.
   cluster_->runtime(device_of(global_pe))
       .note_delivery(local_pe_of(global_pe),
                      local_->tile().clock().now());
+  std::memcpy(remote, source, bytes);
 }
 
 void ClusterContext::get(void* target, const void* source, std::size_t bytes,

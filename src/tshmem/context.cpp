@@ -370,10 +370,12 @@ void Context::transfer(void* target, const void* source, std::size_t bytes,
     const MemSpace src_space =
         is_put ? space_of(local_cls) : space_of(remote_cls);
     charge_local_copy(bytes, dst_space, src_space, hints);
-    do_memcpy_visible(dst, src, bytes);
+    // Publish the delivery time before the data: a shmem_wait_until poller
+    // that sees the data must also see the time it landed.
     if (is_put && pe != pe_) {
       rt_->note_delivery(pe, tile_->clock().now());
     }
+    do_memcpy_visible(dst, src, bytes);
     return;
   }
 
@@ -398,11 +400,13 @@ void Context::transfer(void* target, const void* source, std::size_t bytes,
       req.concurrent_readers = hints.readers;
       req.concurrent_writers = hints.writers;
       remote.charge_copy(req);
+      // The handler's clock now equals the requester's once raise()
+      // returns: publish it before the data, as on the direct path.
+      if (is_put) rt_->note_delivery(pe, remote.clock().now());
       do_memcpy_visible(dst, src, bytes);
     });
     // Wait: for a put with a *dynamic local source*, the local source is in
     // shared memory, so the remote can read it directly — handled above.
-    if (is_put) rt_->note_delivery(pe, tile_->clock().now());
     return;
   }
 
@@ -425,9 +429,9 @@ void Context::transfer(void* target, const void* source, std::size_t bytes,
       req.dst = MemSpace::kPrivate;
       req.homing = tilesim::Homing::kHashForHome;
       remote.charge_copy(req);
+      rt_->note_delivery(pe, remote.clock().now());
       do_memcpy_visible(dst, bounce, bytes);
     });
-    rt_->note_delivery(pe, tile_->clock().now());
   } else {
     // Remote: its static source -> shared bounce; local: bounce -> target.
     const void* src = remote_addr(source, pe);
@@ -524,8 +528,8 @@ void Context::transfer_nbi(void* target, const void* source,
   // descriptor's completion timestamp (the same host-eager/virtual-deferred
   // split every blocking path already relies on). The DMA engine bypasses
   // the issuing tile's caches, so no cache probe sees this stream.
-  do_memcpy_visible(dst, src, bytes);
   if (is_put && pe != pe_) rt_->note_delivery(pe, d.complete_ps);
+  do_memcpy_visible(dst, src, bytes);
   if (race_ != nullptr) {
     // The DMA pseudo-actor performs the transfer: unordered with this PE's
     // subsequent program until shmem_quiet joins the engine back.
@@ -757,6 +761,31 @@ void Context::barrier_linear(const ActiveSet& as, std::uint32_t seq) {
   const int prev = as.pe_at((idx + n - 1) % n);
   const auto forward_cost = rt_->config().barrier_forward_ps;
 
+  if (rt_->token_rendezvous()) {
+    // Nothing observes the tokens: take their arrival times from the
+    // closed form, then replay this PE's side of the loop below — the same
+    // advances and clock merges, the same two sends counted as traffic.
+    const TokenTimes t = rt_->token_barrier_for(as).wait(*tile_, idx);
+    const ps_t inject = 2 * rt_->config().cycle_ps();
+    auto forward = [&] {
+      tile_->clock().advance(forward_cost);
+      tile_->clock().advance(inject);
+    };
+    if (idx == 0) {
+      forward();
+      tile_->clock().advance_to(t.wait_in);
+      forward();
+      tile_->clock().advance_to(t.release_in);
+    } else {
+      tile_->clock().advance_to(t.wait_in);
+      forward();
+      tile_->clock().advance_to(t.release_in);
+      forward();
+    }
+    rt_->udn().count_traffic(pe_, next, /*words=*/2, /*packets=*/2);
+    return;
+  }
+
   auto expect = [&](MsgTag tag) {
     const CtrlMsg msg = recv_ctrl(tmc::kUdnBarrierQueue, tag, prev);
     if (msg.set_id != (as.id() & 0xffffff) || msg.seq != seq) {
@@ -869,8 +898,8 @@ void Context::atomic_engine(void* target, int pe, std::size_t bytes,
   tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kAtomic,
                         site, tile_->clock().now(), pe, bytes);
   if (cls == AddrClass::kDynamic || pe == pe_) {
-    op(remote_addr(target, pe));
     if (pe != pe_) rt_->note_delivery(pe, tile_->clock().now());
+    op(remote_addr(target, pe));
     return;
   }
   // Static symmetric object on a remote PE: service via UDN interrupt.
@@ -878,9 +907,9 @@ void Context::atomic_engine(void* target, int pe, std::size_t bytes,
   if (met_) met_->interrupt_services->inc();
   rt_->interrupts().raise(*tile_, pe, [&](Tile& remote) {
     remote.clock().advance(rt_->config().cycle_ps() * 8);
+    rt_->note_delivery(pe, remote.clock().now());
     op(addr);
   });
-  rt_->note_delivery(pe, tile_->clock().now());
 }
 
 // ===========================================================================

@@ -25,6 +25,13 @@ std::size_t align_up(std::size_t v, std::size_t a) {
   return (v + a - 1) & ~(a - 1);
 }
 
+// Cache key of an active set's barrier objects.
+std::uint64_t barrier_key(const ActiveSet& as) {
+  return (static_cast<std::uint64_t>(as.pe_start) << 40) |
+         (static_cast<std::uint64_t>(as.log_pe_stride) << 32) |
+         static_cast<std::uint64_t>(as.pe_size);
+}
+
 bool bool_env(const char* name, bool fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
@@ -311,16 +318,25 @@ void Runtime::free_bounce(void*) {
 }
 
 tmc::SpinBarrier& Runtime::spin_barrier_for(const ActiveSet& as) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(as.pe_start) << 40) |
-      (static_cast<std::uint64_t>(as.log_pe_stride) << 32) |
-      static_cast<std::uint64_t>(as.pe_size);
-  std::scoped_lock lk(spin_mu_);
+  const std::uint64_t key = barrier_key(as);
+  std::scoped_lock lk(barrier_mu_);
   auto it = spin_barriers_.find(key);
   if (it == spin_barriers_.end()) {
     it = spin_barriers_
              .emplace(key,
                       std::make_unique<tmc::SpinBarrier>(device_, as.pe_size))
+             .first;
+  }
+  return *it->second;
+}
+
+TokenRendezvous& Runtime::token_barrier_for(const ActiveSet& as) {
+  const std::uint64_t key = barrier_key(as);
+  std::scoped_lock lk(barrier_mu_);
+  auto it = token_barriers_.find(key);
+  if (it == token_barriers_.end()) {
+    it = token_barriers_
+             .emplace(key, std::make_unique<TokenRendezvous>(device_, as))
              .first;
   }
   return *it->second;
@@ -420,6 +436,14 @@ void Runtime::setup_job(int npes) {
       ctx->ts_ = timeseries_.get();
     }
   }
+  // Fixed for the whole job: a PE on the message path and one in the
+  // rendezvous would never meet. Fault plans inject drops and delays on
+  // individual tokens, and the other consumers log or trace each one.
+  token_rendezvous_ = device_.fault() == nullptr &&
+                      device_.sync_observer() == nullptr &&
+                      device_.tracer() == nullptr &&
+                      device_.profiler() == nullptr &&
+                      device_.flight() == nullptr;
 }
 
 void Runtime::teardown_job() {
@@ -453,8 +477,9 @@ void Runtime::teardown_job() {
   bounce_slots_.clear();
   bounce_slot_bytes_.clear();
   {
-    std::scoped_lock lk(spin_mu_);
+    std::scoped_lock lk(barrier_mu_);
     spin_barriers_.clear();
+    token_barriers_.clear();
   }
   if (partitions_ != nullptr) {
     cmem_.unmap("tshmem_partitions");
@@ -626,7 +651,7 @@ void Runtime::scrape_run_stats() {
   // totals are already this run's delta.
   std::uint64_t spins = 0;
   {
-    std::scoped_lock lk(spin_mu_);
+    std::scoped_lock lk(barrier_mu_);
     for (const auto& [key, barrier] : spin_barriers_) {
       spins += barrier->waits();
     }

@@ -29,6 +29,7 @@
 #include "tmc/common_memory.hpp"
 #include "tmc/interrupt.hpp"
 #include "tmc/udn.hpp"
+#include "tshmem/token_barrier.hpp"
 #include "tshmem/types.hpp"
 
 namespace tshmem {
@@ -215,6 +216,18 @@ class Runtime {
 
   /// Cached TMC spin barrier for an active set (BarrierAlgo::kTmcSpin).
   tmc::SpinBarrier& spin_barrier_for(const ActiveSet& as);
+  /// Cached token-barrier rendezvous for an active set (the host
+  /// realization of BarrierAlgo::kLinearToken when token_rendezvous()).
+  TokenRendezvous& token_barrier_for(const ActiveSet& as);
+  /// True when this job's linear token barriers run as one host rendezvous
+  /// per barrier instead of 2n UDN messages. Chosen once per job in
+  /// setup_job: the messages stay whenever something observes individual
+  /// tokens or can perturb them (fault engine, sync observer, tracer,
+  /// profiler or flight recorder attached to the device). Both give the
+  /// same virtual times and traffic counts.
+  [[nodiscard]] bool token_rendezvous() const noexcept {
+    return token_rendezvous_;
+  }
 
   /// Symmetry validation (validate_symmetry option): every PE posts the
   /// argument of its collective allocation call; after a host rendezvous
@@ -352,8 +365,10 @@ class Runtime {
   std::vector<void*> bounce_slots_;
   std::vector<std::size_t> bounce_slot_bytes_;
 
-  std::mutex spin_mu_;
+  std::mutex barrier_mu_;  // guards both barrier caches
   std::map<std::uint64_t, std::unique_ptr<tmc::SpinBarrier>> spin_barriers_;
+  std::map<std::uint64_t, std::unique_ptr<TokenRendezvous>> token_barriers_;
+  bool token_rendezvous_ = false;
 
   // --- metrics state -------------------------------------------------------
   bool metrics_enabled_ = false;

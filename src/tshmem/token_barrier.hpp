@@ -1,0 +1,66 @@
+// The §IV-C1 linear token barrier in closed form, and the host rendezvous
+// that evaluates it.
+//
+// A WAIT token leaves the start tile, circulates through the active set and
+// returns; a RELEASE token then makes the same loop. When nothing observes
+// the individual tokens, the timestamps every member sees are a pure
+// function of the members' arrival clocks: linear_token_schedule computes
+// them, and TokenRendezvous gathers the arrivals in one place so the last
+// arriver can evaluate it and wake everyone at once, instead of 2n chained
+// thread handoffs. Each member then replays on its own clock the advances
+// the message path would have made (Context::barrier_linear).
+#pragma once
+
+#include <condition_variable>
+#include <cstdint>
+#include <mutex>
+#include <span>
+#include <vector>
+
+#include "sim/device.hpp"
+#include "tshmem/types.hpp"
+
+namespace tshmem {
+
+using tilesim::ps_t;
+
+/// When the two tokens reach one member of the loop.
+struct TokenTimes {
+  ps_t wait_in = 0;     ///< WAIT token arrives from the previous member
+  ps_t release_in = 0;  ///< RELEASE token arrives from the previous member
+};
+
+/// Closed form of the linear token loop over `pes` (member i forwards to
+/// member i+1, the last back to member 0), given each member's clock on
+/// entry. Every forward costs cfg.barrier_forward_ps plus two cycles of
+/// injection; every hop costs the two-word UDN wire latency. Pure: no
+/// state, same answer on every host schedule.
+[[nodiscard]] std::vector<TokenTimes> linear_token_schedule(
+    std::span<const ps_t> arrivals, std::span<const int> pes,
+    const tilesim::DeviceConfig& cfg);
+
+/// One active set's rendezvous: reusable across barrier generations.
+class TokenRendezvous {
+ public:
+  TokenRendezvous(const tilesim::Device& device, const ActiveSet& as);
+
+  TokenRendezvous(const TokenRendezvous&) = delete;
+  TokenRendezvous& operator=(const TokenRendezvous&) = delete;
+
+  /// Deposits the caller's clock as member `index`'s arrival, blocks until
+  /// every member has arrived, and returns that member's token times. The
+  /// wait is watchdog-bounded; the caller's clock is not touched.
+  TokenTimes wait(tilesim::Tile& self, int index);
+
+ private:
+  const tilesim::Device* device_;
+  std::vector<int> pes_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<ps_t> arrivals_;
+  std::vector<TokenTimes> times_;  ///< of the last completed generation
+  int arrived_ = 0;
+  std::uint64_t generation_ = 0;
+};
+
+}  // namespace tshmem

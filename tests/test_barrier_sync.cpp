@@ -1,14 +1,20 @@
 // Tests for TSHMEM synchronization: the linear UDN token barrier (all
-// algorithms), active sets, fence/quiet, wait/wait_until, and locks.
+// algorithms, and its closed-form rendezvous against the token messages),
+// active sets, fence/quiet, wait/wait_until, and locks.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "tshmem/context.hpp"
 #include "tshmem/runtime.hpp"
+#include "tshmem/token_barrier.hpp"
 
 namespace {
 
+using tilesim::ps_t;
 using tshmem::ActiveSet;
 using tshmem::BarrierAlgo;
 using tshmem::Cmp;
@@ -194,6 +200,134 @@ TEST(Barrier, BroadcastReleaseIsRoughlyTwiceSlower) {
   EXPECT_NEAR(static_cast<double>(bcast) / static_cast<double>(linear), 2.0,
               0.7);
 }
+
+// --- token rendezvous vs. token messages ----------------------------------------
+
+TEST(TokenSchedule, TwoPeClosedFormByHand) {
+  const tilesim::DeviceConfig& cfg = tilesim::tile_gx36();
+  const ps_t cycle = cfg.cycle_ps();
+  const ps_t f = cfg.barrier_forward_ps;
+  const ps_t inject = 2 * cycle;
+  // Tile 0 -> 1 is one hop right, 1 -> 0 one hop left, neither turns; the
+  // second payload word adds one cycle.
+  const auto bias = [&](tilesim::Dir d) {
+    return static_cast<ps_t>(cfg.udn_dir_bias_ps[static_cast<int>(d)]);
+  };
+  const ps_t l01 =
+      cfg.udn_setup_teardown_ps + cycle + bias(tilesim::Dir::kRight) + cycle;
+  const ps_t l10 =
+      cfg.udn_setup_teardown_ps + cycle + bias(tilesim::Dir::kLeft) + cycle;
+  const int pes[] = {0, 1};
+
+  // PE 1 arrives 1 us late, so every forward after its arrival is on the
+  // critical path: WAIT 1 -> 0, RELEASE 0 -> 1, RELEASE 1 -> 0.
+  const ps_t late[] = {0, 1'000'000};
+  const auto t = tshmem::linear_token_schedule(late, pes, cfg);
+  ASSERT_EQ(t.size(), 2u);
+  EXPECT_EQ(t[1].wait_in, f + l01);
+  EXPECT_EQ(t[0].wait_in, 1'000'000 + f + l10);
+  EXPECT_EQ(t[1].release_in, 1'000'000 + 2 * f + l10 + l01);
+  EXPECT_EQ(t[0].release_in, 1'000'000 + 3 * f + l10 + l01 + l10);
+
+  // Simultaneous arrival: PE 1 forwards the WAIT as soon as it lands, and
+  // PE 1's own WAIT injection never delays its RELEASE forward.
+  const ps_t even[] = {0, 0};
+  const auto u = tshmem::linear_token_schedule(even, pes, cfg);
+  EXPECT_EQ(u[1].wait_in, f + l01);
+  EXPECT_EQ(u[0].wait_in, 2 * f + l01 + l10);
+  EXPECT_EQ(u[1].release_in, 3 * f + l01 + l10 + l01);
+  EXPECT_EQ(u[0].release_in, 4 * f + 2 * l01 + 2 * l10);
+  EXPECT_GT(u[1].release_in, 2 * f + l01 + inject);
+
+  EXPECT_THROW((void)tshmem::linear_token_schedule(
+                   std::span<const ps_t>(late, 1), std::span<const int>(pes, 1),
+                   cfg),
+               std::invalid_argument);
+}
+
+struct TokenCase {
+  const char* device;  // "gx36" or "pro64"
+  int npes;
+  ActiveSet set;  // pe_size 0: every PE of the job
+};
+
+struct PeOutcome {
+  ps_t now, busy, idle;
+  std::uint64_t packets, words, hops;
+  friend bool operator==(const PeOutcome&, const PeOutcome&) = default;
+};
+
+// Seeded per-PE clock skew, then three barriers back to back. Returns every
+// PE's final clock split and UDN traffic, and which host path the job took.
+std::vector<PeOutcome> run_token_case(const TokenCase& c, bool flightrec,
+                                      bool* rendezvous) {
+  const tilesim::DeviceConfig& cfg = std::string(c.device) == "pro64"
+                                         ? tilesim::tile_pro64()
+                                         : tilesim::tile_gx36();
+  tshmem::RuntimeOptions opts;
+  opts.flightrec = flightrec;
+  Runtime rt(cfg, opts);
+  rt.run(c.npes, [&](Context& ctx) {
+    if (ctx.my_pe() == 0) *rendezvous = ctx.runtime().token_rendezvous();
+    const ActiveSet as = c.set.pe_size == 0 ? ctx.world() : c.set;
+    if (!as.contains(ctx.my_pe())) return;
+    std::mt19937_64 rng(1000003u * static_cast<unsigned>(c.npes) +
+                        static_cast<unsigned>(ctx.my_pe()));
+    ctx.clock().advance(rng() % 5'000'000);  // up to 5 us of skew
+    for (int i = 0; i < 3; ++i) ctx.barrier(as, BarrierAlgo::kLinearToken);
+  });
+  std::vector<PeOutcome> out;
+  for (int pe = 0; pe < c.npes; ++pe) {
+    const tilesim::SimClock& clk = rt.device().tile(pe).clock();
+    const auto traffic = rt.udn().traffic(pe);
+    out.push_back(PeOutcome{clk.now(), clk.busy_ps(), clk.idle_ps(),
+                            traffic.packets, traffic.words, traffic.hops});
+  }
+  return out;
+}
+
+class TokenRendezvousTest : public ::testing::TestWithParam<TokenCase> {};
+
+TEST_P(TokenRendezvousTest, MatchesTokenMessages) {
+  // A plain runtime computes the loop in one host rendezvous; attaching
+  // the flight recorder selects the per-token message path. Clocks, the
+  // busy/idle split and traffic counters must agree PE for PE.
+  bool plain_rendezvous = false;
+  bool observed_rendezvous = true;
+  const auto plain = run_token_case(GetParam(), false, &plain_rendezvous);
+  const auto observed = run_token_case(GetParam(), true, &observed_rendezvous);
+  EXPECT_TRUE(plain_rendezvous);
+  EXPECT_FALSE(observed_rendezvous);
+  ASSERT_EQ(plain.size(), observed.size());
+  for (std::size_t pe = 0; pe < plain.size(); ++pe) {
+    EXPECT_EQ(plain[pe], observed[pe]) << "PE " << pe;
+  }
+  const ActiveSet as = GetParam().set.pe_size == 0
+                           ? ActiveSet{0, 0, GetParam().npes}
+                           : GetParam().set;
+  // Three barriers, two tokens each, sent by every member.
+  EXPECT_EQ(plain[static_cast<std::size_t>(as.pe_at(0))].packets, 6u);
+}
+
+std::vector<TokenCase> token_cases() {
+  std::vector<TokenCase> cases;
+  const ActiveSet whole_job{0, 0, 0};
+  for (const char* device : {"gx36", "pro64"}) {
+    for (int n : {2, 3, 4, 7, 16, 36}) cases.push_back({device, n, whole_job});
+  }
+  cases.push_back({"pro64", 64, whole_job});
+  cases.push_back({"gx36", 12, ActiveSet{1, 1, 5}});  // PEs 1, 3, 5, 7, 9
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Devices, TokenRendezvousTest, ::testing::ValuesIn(token_cases()),
+    [](const ::testing::TestParamInfo<TokenCase>& p) {
+      std::string name =
+          std::string(p.param.device) + "_n" + std::to_string(p.param.npes);
+      if (p.param.set.pe_size != 0) name += "_strided";
+      return name;
+    });
 
 // --- fence / quiet -------------------------------------------------------------
 

@@ -3,8 +3,8 @@
 # suite, then exercise the telemetry path end to end — one metrics-enabled
 # bench run whose --metrics-json / --trace-json outputs are validated for
 # schema shape and non-emptiness — and finally rebuild the concurrency-
-# sensitive suites (NBI/DMA engine, tmc + tshmem barriers) under
-# ThreadSanitizer and run them race-clean.
+# sensitive suites (NBI/DMA engine, tmc + tshmem barriers, collectives,
+# runtime) under ThreadSanitizer and run them race-clean.
 #
 # After the sanitizer stages, the fault-injection campaign (bench/ext_faults)
 # runs twice per seed over a fixed seed set and the outputs are diffed:
@@ -98,18 +98,28 @@ print(f"telemetry OK: {len(m['runs'])} run(s), {len(events)} trace events")
 EOF
 
 if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
-  echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync)"
+  echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync," \
+       "test_collectives, test_runtime)"
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS=-fsanitize=thread \
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
   cmake --build "$TSAN_DIR" -j \
-    --target test_nbi test_tmc_barrier test_barrier_sync
+    --target test_nbi test_tmc_barrier test_barrier_sync test_collectives \
+    test_runtime
   # TSan exits non-zero (66) on any reported race even when gtest passes.
   "$TSAN_DIR"/tests/test_nbi
   "$TSAN_DIR"/tests/test_tmc_barrier
   "$TSAN_DIR"/tests/test_barrier_sync
+  # Collectives interleave the token-barrier rendezvous with UDN control
+  # traffic on the same PEs.
+  "$TSAN_DIR"/tests/test_collectives
+  "$TSAN_DIR"/tests/test_runtime
+  # A put publishes its delivery time before its data; TSan widens the
+  # window a reordering would open, so repeat the wait_until suite.
+  "$TSAN_DIR"/tests/test_barrier_sync --gtest_filter='WaitUntil.*' \
+    --gtest_repeat=20
 else
   echo "== tsan: skipped (TSHMEM_CI_TSAN=0)"
 fi
