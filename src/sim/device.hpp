@@ -3,7 +3,7 @@
 // carries the modeled device time.
 #pragma once
 
-#include <barrier>
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -54,8 +54,9 @@ class Tile {
   [[nodiscard]] const DmaEngine& dma() const noexcept { return *dma_; }
 
   /// Mechanistic cache probe (metrics only; see Device::enable_cache_probes).
-  /// Null unless probes are enabled. Purely observational — it never
-  /// contributes to virtual time; the analytic MemModel stays authoritative.
+  /// Null until this tile's first charged copy with probes enabled. Purely
+  /// observational — it never contributes to virtual time; the analytic
+  /// MemModel stays authoritative.
   [[nodiscard]] const CacheSim* cache_probe() const noexcept {
     return probe_.get();
   }
@@ -100,11 +101,20 @@ class Device {
   void run(int active_tiles, const std::function<void(Tile&)>& fn);
 
   /// Harness-level (zero virtual cost) rendezvous of all active tiles.
-  /// Valid only inside run().
+  /// Valid only on a tile thread inside run(). Bounded by the watchdog: a
+  /// tile that never arrives surfaces as the watchdog's error.
   void host_sync();
 
   /// Tile bound to the calling thread, or nullptr outside run().
   [[nodiscard]] static Tile* current() noexcept;
+
+  /// Tile threads inside run() across every Device of the process: the
+  /// count tilesim::spin_before_park (sim/guarded_wait.hpp) compares to
+  /// usable_cpus().
+  [[nodiscard]] static int running_tile_threads() noexcept;
+
+  /// CPUs this process may run on (its sched_getaffinity set; read once).
+  [[nodiscard]] static int usable_cpus() noexcept;
 
   /// Resets every tile clock to zero. Call only between run()s or from a
   /// single tile after host_sync() (the helper sync_and_reset_clocks does
@@ -130,10 +140,12 @@ class Device {
   void attach_tracer(TraceRecorder* tracer) noexcept { tracer_ = tracer; }
   [[nodiscard]] TraceRecorder* tracer() const noexcept { return tracer_; }
 
-  /// Creates one CacheSim per tile and streams every charged copy through
-  /// it (metrics instrumentation: per-tile L1/L2/DDC/DRAM hit counts).
-  /// Zero virtual-time cost; host-side cost only, so it is opt-in. Idempotent.
-  void enable_cache_probes();
+  /// Streams every charged copy through a per-tile CacheSim (metrics
+  /// instrumentation: per-tile L1/L2/DDC/DRAM hit counts). A tile's probe
+  /// is built at its first charged copy, so tiles that never copy cost
+  /// nothing. Zero virtual-time cost; host-side cost only, so it is opt-in.
+  /// Idempotent.
+  void enable_cache_probes() noexcept { cache_probes_ = true; }
   [[nodiscard]] bool cache_probes_enabled() const noexcept {
     return cache_probes_;
   }
@@ -185,11 +197,13 @@ class Device {
   [[nodiscard]] FlightSink* flight() const noexcept { return flight_; }
 
  private:
+  struct HostBarrier;  // host_sync's generation barrier, one per run()
+
   const DeviceConfig* cfg_;
   Topology topo_;
   MemModel mem_;
   std::vector<std::unique_ptr<Tile>> tiles_;
-  std::unique_ptr<std::barrier<>> host_barrier_;
+  std::unique_ptr<HostBarrier> host_barrier_;
   int active_tiles_ = 0;
   std::vector<std::uint64_t> host_sync_seq_;  // per-tile host_sync phase
   TraceRecorder* tracer_ = nullptr;

@@ -613,9 +613,12 @@ void Runtime::scrape_run_stats() {
       up.backoff_ps = traffic.backoff_ps;
     }
 
-    if (const tilesim::CacheSim* probe = tile.cache_probe();
-        probe != nullptr) {
-      const tilesim::AccessCounts& c = probe->counts();
+    if (device_.cache_probes_enabled()) {
+      // A tile builds its probe at its first copy; until then it has
+      // counted nothing.
+      const tilesim::CacheSim* probe = tile.cache_probe();
+      const tilesim::AccessCounts c =
+          probe != nullptr ? probe->counts() : tilesim::AccessCounts{};
       auto& cp = scraped_cache_[static_cast<std::size_t>(pe)];
       obs::add_count(registry_, "cache.l1_hits", pe, delta(c.l1, cp.l1));
       obs::add_count(registry_, "cache.l2_hits", pe, delta(c.l2, cp.l2));

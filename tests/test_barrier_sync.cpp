@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <ostream>
 #include <random>
 #include <string>
 #include <vector>
@@ -250,6 +251,13 @@ struct TokenCase {
   int npes;
   ActiveSet set;  // pe_size 0: every PE of the job
 };
+
+// gtest prints the parameter into each case's listed name. Its default
+// byte dump would show the `device` pointer, which ASLR moves every run.
+void PrintTo(const TokenCase& c, std::ostream* os) {
+  *os << c.device << " n=" << c.npes << " {" << c.set.pe_start << ","
+      << c.set.log_pe_stride << "," << c.set.pe_size << "}";
+}
 
 struct PeOutcome {
   ps_t now, busy, idle;

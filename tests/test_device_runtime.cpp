@@ -1,14 +1,16 @@
 // Tests for the Device/Tile runtime itself: thread binding, clock
-// lifecycle, host synchronization primitives, reentrancy guards, and the
-// ScopedTimer helper.
+// lifecycle, host synchronization primitives, reentrancy guards, the
+// spin-then-park decision of blocking waits, and the ScopedTimer helper.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <set>
 #include <thread>
 
 #include "sim/clock.hpp"
 #include "sim/device.hpp"
+#include "sim/guarded_wait.hpp"
 
 namespace {
 
@@ -103,8 +105,8 @@ TEST(DeviceRuntime, SyncAndResetClocksMidRun) {
 }
 
 TEST(DeviceRuntime, ExceptionDoesNotDeadlockHostBarrierUsers) {
-  // One tile dies before a host_sync; arrive_and_drop in the runtime keeps
-  // the survivors' rendezvous functional.
+  // One tile dies before a host_sync; it drops out of the host barrier,
+  // which keeps the survivors' rendezvous functional.
   Device device(tilesim::tile_gx36());
   EXPECT_THROW(device.run(3,
                           [&](Tile& tile) {
@@ -132,6 +134,45 @@ TEST(DeviceRuntime, ChargesUseConfiguredCosts) {
     EXPECT_EQ(tile.clock().now() - t0,
               7 * c.int_op_ps + 3 * c.fp_op_ps + 2 * c.mem_op_ps + c.call_ps);
   });
+}
+
+TEST(SpinDecision, SpinsWhileTileThreadsFitOnCpus) {
+  EXPECT_TRUE(tilesim::spin_before_park(1, 2));
+  EXPECT_TRUE(tilesim::spin_before_park(2, 4));
+  EXPECT_TRUE(tilesim::spin_before_park(4, 4));  // one tile per CPU
+  EXPECT_TRUE(tilesim::spin_before_park(36, 64));
+}
+
+TEST(SpinDecision, ParksWhenTileThreadsOutnumberCpus) {
+  EXPECT_FALSE(tilesim::spin_before_park(5, 4));
+  EXPECT_FALSE(tilesim::spin_before_park(8, 4));  // 2-device x 4-PE cluster
+  EXPECT_FALSE(tilesim::spin_before_park(36, 4));  // a full gx36 mesh
+  EXPECT_FALSE(tilesim::spin_before_park(64, 36));
+  // One CPU: the waker could only run once the spinner gives it up.
+  EXPECT_FALSE(tilesim::spin_before_park(1, 1));
+}
+
+TEST(SpinDecision, CountsTileThreadsAcrossDevices) {
+  // Tile 0 of `outer` runs a job on `inner` while tile 1 waits, so both
+  // devices' tiles are running at once.
+  Device outer(tilesim::tile_gx36());
+  Device inner(tilesim::tile_gx36());
+  EXPECT_EQ(Device::running_tile_threads(), 0);
+  std::array<int, 2> seen{};
+  outer.run(2, [&](Tile& tile) {
+    if (tile.id() == 0) {
+      inner.run(2, [&](Tile& t) {
+        seen[static_cast<std::size_t>(t.id())] =
+            Device::running_tile_threads();
+        inner.host_sync();  // nobody leaves before everyone counted
+      });
+    }
+    outer.host_sync();
+  });
+  EXPECT_EQ(seen[0], 4);
+  EXPECT_EQ(seen[1], 4);
+  EXPECT_EQ(Device::running_tile_threads(), 0);
+  EXPECT_GE(Device::usable_cpus(), 1);
 }
 
 TEST(DeviceRuntime, RunIsNotReentrant) {

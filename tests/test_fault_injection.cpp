@@ -457,6 +457,25 @@ TEST(Watchdog, FiresOnMismatchedBarrierNamingStuckPe) {
   rt.run(2, [](Context& ctx) { ctx.barrier_all(); });
 }
 
+TEST(Watchdog, FiresOnHostSyncMissingAPe) {
+  RuntimeOptions opts;
+  opts.watchdog_ms = 300;
+  Runtime rt(tilesim::tile_gx36(), opts);
+  try {
+    rt.run(2, [](Context& ctx) {
+      if (ctx.my_pe() == 0) ctx.harness_sync();  // PE 1 returns instead
+    });
+    FAIL() << "host_sync with a missing PE did not trip the watchdog";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Errc::kWatchdogTimeout);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("PE 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("host_sync"), std::string::npos) << what;
+  }
+  // The runtime survives the aborted job.
+  rt.run(2, [](Context& ctx) { ctx.harness_sync(); });
+}
+
 TEST(Watchdog, FiresOnWaitUntilThatCanNeverBeSatisfied) {
   RuntimeOptions opts;
   opts.watchdog_ms = 300;

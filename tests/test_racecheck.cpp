@@ -416,8 +416,16 @@ TEST(RacecheckRuntime, VirtualTimeBitIdenticalOnOrOff) {
       ctx.quiet();
       ctx.barrier_all();
       (void)ctx.fadd(&buf[16], 1L, 0);
-      ctx.set_lock(&buf[24]);
-      ctx.clear_lock(&buf[24]);
+      // One PE at a time: a contended set_lock retries a host-schedule-
+      // dependent number of times, and each failed CAS charges virtual
+      // time (docs/TIMING_MODEL.md §3, caveat 1).
+      for (int turn = 0; turn < kPes; ++turn) {
+        if (me == turn) {
+          ctx.set_lock(&buf[24]);
+          ctx.clear_lock(&buf[24]);
+        }
+        ctx.barrier_all();
+      }
       if (me == 0) ctx.p(&buf[32], 99L, 1);
       if (me == 1) ctx.wait_until((volatile long*)&buf[32], tshmem::Cmp::kEq,
                                   99L);

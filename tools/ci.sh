@@ -4,7 +4,8 @@
 # bench run whose --metrics-json / --trace-json outputs are validated for
 # schema shape and non-emptiness — and finally rebuild the concurrency-
 # sensitive suites (NBI/DMA engine, tmc + tshmem barriers, collectives,
-# runtime) under ThreadSanitizer and run them race-clean.
+# runtime, UDN, device runtime) under ThreadSanitizer and run them
+# race-clean.
 #
 # After the sanitizer stages, the fault-injection campaign (bench/ext_faults)
 # runs twice per seed over a fixed seed set and the outputs are diffed:
@@ -99,7 +100,7 @@ EOF
 
 if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync," \
-       "test_collectives, test_runtime)"
+       "test_collectives, test_runtime, test_udn, test_device_runtime)"
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -107,7 +108,7 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
   cmake --build "$TSAN_DIR" -j \
     --target test_nbi test_tmc_barrier test_barrier_sync test_collectives \
-    test_runtime
+    test_runtime test_udn test_device_runtime
   # TSan exits non-zero (66) on any reported race even when gtest passes.
   "$TSAN_DIR"/tests/test_nbi
   "$TSAN_DIR"/tests/test_tmc_barrier
@@ -120,6 +121,14 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   # window a reordering would open, so repeat the wait_until suite.
   "$TSAN_DIR"/tests/test_barrier_sync --gtest_filter='WaitUntil.*' \
     --gtest_repeat=20
+  # Waits spin before they park only while the tile threads fit on the
+  # host's CPUs, and the spin path's races depend on the schedule: repeat
+  # the UDN suite and the 2-64 PE token-rendezvous cases (spin at the low
+  # counts, park at the high ones).
+  "$TSAN_DIR"/tests/test_device_runtime
+  "$TSAN_DIR"/tests/test_udn --gtest_repeat=10
+  "$TSAN_DIR"/tests/test_barrier_sync \
+    --gtest_filter='Devices/TokenRendezvousTest.*' --gtest_repeat=10
 else
   echo "== tsan: skipped (TSHMEM_CI_TSAN=0)"
 fi

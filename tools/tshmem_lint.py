@@ -5,10 +5,12 @@ A small static front-end that complements the dynamic tshmem-check race
 detector (src/analysis/, docs/ANALYSIS.md). It enforces repo invariants
 that generic tooling (clang-tidy, TSan) cannot express:
 
-  R001 raw-condvar-wait     std::condition_variable wait outside
-                            sim/guarded_wait.hpp. Every blocking wait must
-                            go through guarded_wait() so the Watchdog can
-                            bound it.
+  R001 raw-blocking-wait    A blocking wait outside sim/guarded_wait.hpp:
+                            a std::condition_variable wait, any
+                            std::barrier (or arrive_and_wait), a std::latch
+                            wait, or a std::atomic wait. Every blocking
+                            wait must go through guarded_wait() so the
+                            Watchdog can bound it.
   R002 unbounded-spin       std::this_thread::yield / sleep_for spin loop
                             outside sim/guarded_wait.hpp. Same invariant:
                             guarded_spin() is the only sanctioned spin.
@@ -163,6 +165,18 @@ class FileScanner:
 
     R001_RE = re.compile(r"\.\s*wait(_for|_until)?\s*\(")
     R001_DECL_RE = re.compile(r"condition_variable")
+    # std::barrier has no wait that a watchdog could bound, so any use of
+    # the type is a blocking site; so is arrive_and_wait on anything.
+    R001_BARRIER_RE = re.compile(r"\bstd::barrier\b|\barrive_and_wait\s*\(")
+    # Variables declared as a std::latch or std::atomic: their .wait() is
+    # a blocking wait. The free-function atomic waits block the same way.
+    R001_WAITABLE_DECL_RE = re.compile(
+        r"\bstd::(?:latch|atomic_flag|atomic\s*<[^;(){}]*>)[\s&*]*"
+        r"([A-Za-z_]\w*)"
+    )
+    R001_ATOMIC_FREE_WAIT_RE = re.compile(
+        r"\batomic(?:_flag)?_wait(?:_explicit)?\s*\("
+    )
     R002_RE = re.compile(r"this_thread::(yield|sleep_for|sleep_until)\s*\(")
 
     def rule_guarded_wait(self) -> None:
@@ -171,6 +185,18 @@ class FileScanner:
         ):
             return
         uses_condvar = any(self.R001_DECL_RE.search(l) for l in self.lines)
+        waitables = {
+            m.group(1)
+            for l in self.lines
+            for m in self.R001_WAITABLE_DECL_RE.finditer(l)
+        }
+        waitable_re = (
+            re.compile(
+                r"\b(?:" + "|".join(sorted(map(re.escape, waitables))) +
+                r")\s*(?:\.|->)\s*wait\s*\("
+            )
+            if waitables else None
+        )
         for i, line in enumerate(self.lines, 1):
             if uses_condvar and self.R001_RE.search(line) and (
                 "cv" in line or "cond" in line or "condition_variable" in line
@@ -179,6 +205,15 @@ class FileScanner:
                     "R001", i,
                     "raw condition-variable wait; use tilesim::guarded_wait() "
                     "(sim/guarded_wait.hpp) so the Watchdog bounds it",
+                )
+            elif self.R001_BARRIER_RE.search(line) or (
+                waitable_re is not None and waitable_re.search(line)
+            ) or self.R001_ATOMIC_FREE_WAIT_RE.search(line):
+                self.report(
+                    "R001", i,
+                    "raw barrier/latch/atomic wait; use "
+                    "tilesim::guarded_wait() (sim/guarded_wait.hpp) so the "
+                    "Watchdog bounds it",
                 )
             if self.R002_RE.search(line):
                 self.report(
@@ -381,6 +416,41 @@ def self_test() -> int:
 
     cases = {
         # (filename, source, expected rule hits as {rule: count})
+        "src/tshmem/r001_barrier.cpp": (
+            "std::barrier<> gate(2);\n"                      # R001
+            "void f() { gate.arrive_and_wait(); }\n"         # R001
+            "void g(Other& o) { o.arrive_and_wait(); }\n"    # R001
+            "#include <barrier>\n",                          # no type use
+            {"R001": 3},
+        ),
+        "src/tshmem/r001_latch.cpp": (
+            "void f(int n) {\n"
+            "  std::latch done(n);\n"
+            "  done.count_down();\n"
+            "  done.wait();\n"                               # R001
+            "  done.wait();  // tshmem-lint: allow(R001)\n"  # allowed
+            "  ctx.wait(flag, 0L);\n"                        # not a latch
+            "}\n",
+            {"R001": 1},
+        ),
+        "src/tshmem/r001_atomic.cpp": (
+            "std::atomic<std::uint64_t> epoch{0};\n"
+            "std::atomic_flag ready;\n"
+            "void f(Slot* s) {\n"
+            "  epoch.wait(0, std::memory_order_acquire);\n"  # R001
+            "  ready.wait(false);\n"                         # R001
+            "  std::atomic_wait(&epoch, 0);\n"               # R001
+            "  epoch.notify_one();\n"
+            "  barrier.wait(tile);\n"                        # not atomic
+            "}\n",
+            {"R001": 3},
+        ),
+        # The guarded wrappers themselves are exempt.
+        "src/sim/guarded_wait.hpp": (
+            "std::latch gate(1);\n"
+            "void f() { gate.wait(); }\n",
+            {},
+        ),
         "src/tshmem/r006_case.cpp": (
             "void f(obs::FlightRecorder* fr, obs::TimeSeries* ts) {\n"
             "  fr->record_event(0, k, \"s\", 1);\n"           # R006
