@@ -76,9 +76,8 @@ void Telemetry::attach(tshmem::Runtime& rt) {
     throw std::logic_error(
         "Telemetry::attach: collect() the previous runtime first");
   }
-  recorder_ =
-      std::make_unique<tilesim::TraceRecorder>(rt.device().tile_count());
-  rt.device().attach_tracer(recorder_.get());
+  trace_log_ = std::make_unique<obs::TraceLog>(rt.device());
+  rt.device().attach_probe(trace_log_.get());
   attached_ = &rt;
 }
 
@@ -101,20 +100,9 @@ void Telemetry::collect(tshmem::Runtime& rt) {
     harvested.emplace_back(std::string(rt.config().short_name),
                            profiler->report());
   }
-  if (attached_ == &rt && recorder_ != nullptr) {
-    rt.device().attach_tracer(nullptr);
-    if (!harvested.empty()) {
-      // Layer the critical path's wait edges onto this runtime's track as
-      // Perfetto flow arrows (same pid as the track created below).
-      std::vector<obs::TraceFlow> flows = obs::profile_flow_events(
-          harvested.front().second, next_pid_, next_flow_id_);
-      next_flow_id_ += flows.size();
-      flows_.insert(flows_.end(), flows.begin(), flows.end());
-    }
-    tracks_.push_back(obs::TraceTrack{
-        next_pid_++, std::string(rt.config().short_name),
-        recorder_->events()});
-    recorder_.reset();
+  if (attached_ == &rt && trace_log_ != nullptr) {
+    collect_trace(rt.device(), rt.config().short_name,
+                  harvested.empty() ? nullptr : &harvested.front().second);
     attached_ = nullptr;
   }
   for (auto& named : harvested) reports_.push_back(std::move(named));
@@ -126,12 +114,12 @@ void Telemetry::attach(tilesim::Device& device) {
         "Telemetry::attach: collect() the previous device first");
   }
   if (trace_requested()) {
-    recorder_ = std::make_unique<tilesim::TraceRecorder>(device.tile_count());
-    device.attach_tracer(recorder_.get());
+    trace_log_ = std::make_unique<obs::TraceLog>(device);
+    device.attach_probe(trace_log_.get());
   }
   if (profile_requested()) {
     device_profiler_ = std::make_unique<obs::Profiler>(device);
-    device.attach_profiler(device_profiler_.get());
+    device.attach_probe(device_profiler_.get());
   }
   attached_device_ = &device;
 }
@@ -141,23 +129,31 @@ void Telemetry::collect(tilesim::Device& device, const std::string& name) {
   std::vector<std::pair<std::string, obs::ProfileReport>> harvested;
   if (device_profiler_ != nullptr) {
     harvested.emplace_back(name, device_profiler_->report());
-    device.attach_profiler(nullptr);
+    device.detach_probe(device_profiler_.get());
     device_profiler_.reset();
   }
-  if (recorder_ != nullptr) {
-    device.attach_tracer(nullptr);
-    if (!harvested.empty()) {
-      std::vector<obs::TraceFlow> flows = obs::profile_flow_events(
-          harvested.front().second, next_pid_, next_flow_id_);
-      next_flow_id_ += flows.size();
-      flows_.insert(flows_.end(), flows.begin(), flows.end());
-    }
-    tracks_.push_back(
-        obs::TraceTrack{next_pid_++, name, recorder_->events()});
-    recorder_.reset();
+  if (trace_log_ != nullptr) {
+    collect_trace(device, name,
+                  harvested.empty() ? nullptr : &harvested.front().second);
   }
   for (auto& named : harvested) reports_.push_back(std::move(named));
   attached_device_ = nullptr;
+}
+
+void Telemetry::collect_trace(tilesim::Device& device,
+                              const std::string& name,
+                              const obs::ProfileReport* report) {
+  device.detach_probe(trace_log_.get());
+  if (report != nullptr) {
+    // Layer the critical path's wait edges onto this run's track as
+    // Perfetto flow arrows (same pid as the track created below).
+    std::vector<obs::TraceFlow> flows =
+        obs::profile_flow_events(*report, next_pid_, next_flow_id_);
+    next_flow_id_ += flows.size();
+    flows_.insert(flows_.end(), flows.begin(), flows.end());
+  }
+  tracks_.push_back(trace_log_->track(next_pid_++, name));
+  trace_log_.reset();
 }
 
 void Telemetry::write() {

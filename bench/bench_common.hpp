@@ -14,7 +14,6 @@
 #include "obs/exporters.hpp"
 #include "obs/profiler.hpp"
 #include "sim/config.hpp"
-#include "sim/trace.hpp"
 #include "tshmem/runtime.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -107,16 +106,16 @@ class Telemetry {
   /// Turns on RuntimeOptions::metrics / ::profile per the flags passed.
   void configure(tshmem::RuntimeOptions& opts) const;
 
-  /// Attaches a virtual-time tracer to the runtime's device when
-  /// --trace-json was passed. (The profiler is owned by the Runtime itself,
-  /// enabled via configure().)
+  /// Attaches a trace log to the runtime's device when --trace-json was
+  /// passed. (The profiler is owned by the Runtime itself, enabled via
+  /// configure().)
   void attach(tshmem::Runtime& rt);
 
   /// Harvests the runtime's metrics snapshot, profile report, and timeline,
-  /// detaching the tracer. Call once per Runtime, after its last run().
+  /// detaching the trace log. Call once per Runtime, after its last run().
   void collect(tshmem::Runtime& rt);
 
-  /// Raw-Device variant: attaches a tracer and/or a Telemetry-owned
+  /// Raw-Device variant: attaches a trace log and/or a Telemetry-owned
   /// profiler directly to `device` (for benches with no Runtime).
   void attach(tilesim::Device& device);
 
@@ -128,6 +127,11 @@ class Telemetry {
   void write();
 
  private:
+  /// Detaches the trace log from `device` and files its timeline as the
+  /// next trace process, with `report`'s critical path as flow arrows.
+  void collect_trace(tilesim::Device& device, const std::string& name,
+                     const obs::ProfileReport* report);
+
   std::string metrics_path_;
   std::string trace_path_;
   std::string profile_json_path_;
@@ -141,7 +145,7 @@ class Telemetry {
   std::vector<obs::TraceTrack> tracks_;
   std::vector<obs::TraceFlow> flows_;
   std::vector<std::pair<std::string, obs::ProfileReport>> reports_;
-  std::unique_ptr<tilesim::TraceRecorder> recorder_;
+  std::unique_ptr<obs::TraceLog> trace_log_;
   std::unique_ptr<obs::Profiler> device_profiler_;
   tshmem::Runtime* attached_ = nullptr;
   tilesim::Device* attached_device_ = nullptr;

@@ -5,15 +5,16 @@
 //
 //   ./fft2d_demo --device pro64 --pes 16 --n 256
 //
-// Pass --trace <file.csv> to dump the per-tile virtual-time timeline
-// (compute/copy events) for offline visualization.
+// Pass --trace <file.json> to write the per-tile virtual-time timeline
+// (op spans, waits, DMA transfers) as Chrome trace-event JSON; open it at
+// https://ui.perfetto.dev.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <vector>
 
 #include "apps/fft.hpp"
-#include "sim/trace.hpp"
+#include "obs/exporters.hpp"
 #include "tshmem/runtime.hpp"
 #include "util/cli.hpp"
 
@@ -32,18 +33,19 @@ int main(int argc, char** argv) {
   opts.heap_per_pe = 2 * n * n * sizeof(apps::cfloat) + (4 << 20);
   tshmem::Runtime rt(device, opts);
   const std::string trace_path = cli.get_string("trace", "");
-  tilesim::TraceRecorder tracer(rt.device().tile_count());
-  if (!trace_path.empty()) rt.device().attach_tracer(&tracer);
+  obs::TraceLog trace(rt.device());
+  if (!trace_path.empty()) rt.device().attach_probe(&trace);
   apps::Fft2dResult result;
   rt.run(npes, [&](tshmem::Context& ctx) {
     auto r = apps::fft2d_run(ctx, n, seed);
     if (ctx.my_pe() == 0) result = std::move(r);
   });
   if (!trace_path.empty()) {
-    rt.device().attach_tracer(nullptr);
+    rt.device().detach_probe(&trace);
+    const obs::TraceTrack track = trace.track(0, device.short_name);
     std::ofstream out(trace_path);
-    tracer.dump_csv(out);
-    std::printf("wrote %zu trace events to %s\n", tracer.event_count(),
+    obs::write_chrome_trace_json(out, {track});
+    std::printf("wrote %zu trace events to %s\n", track.events.size(),
                 trace_path.c_str());
   }
 

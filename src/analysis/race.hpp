@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "analysis/vector_clock.hpp"
-#include "sim/sync_observer.hpp"
+#include "sim/probe.hpp"
 
 namespace tshmem::analysis {
 
@@ -86,7 +86,7 @@ struct RaceReport {
 void write_race_reports_json(std::ostream& os,
                              const std::vector<RaceReport>& reports);
 
-class RaceDetector final : public tilesim::SyncObserver {
+class RaceDetector final : public tilesim::Probe {
  public:
   struct Options {
     std::size_t granule = 8;       ///< shadow granule, bytes; [1, 64]
@@ -157,7 +157,7 @@ class RaceDetector final : public tilesim::SyncObserver {
   /// range (stale epochs on recycled blocks must not produce reports).
   void on_heap_free(const void* p, std::size_t bytes);
 
-  // --- SyncObserver (TMC spin/sync barriers) -------------------------------
+  // --- Probe: rendezvous (TMC spin/sync barriers, Device::host_sync) ------
   void on_rendezvous_arrive(const void* barrier, std::uint64_t generation,
                             int tile) override;
   void on_rendezvous_release(const void* barrier, std::uint64_t generation,

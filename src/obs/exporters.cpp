@@ -1,8 +1,9 @@
 #include "obs/exporters.hpp"
 
-#include <cinttypes>
+#include <algorithm>
 #include <cstdio>
 #include <ostream>
+#include <set>
 
 namespace obs {
 
@@ -99,31 +100,13 @@ void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot) {
 namespace {
 
 /// Virtual picoseconds -> trace microseconds (fractional, ns resolution).
-double ps_to_trace_us(tilesim::ps_t ps) {
-  return static_cast<double>(ps) / 1e6;
-}
-
-void write_trace_event(std::ostream& os, int pid,
-                       const tilesim::TraceEvent& e, bool first) {
-  char ts[64];
-  char dur[64];
-  std::snprintf(ts, sizeof(ts), "%.6f", ps_to_trace_us(e.begin_ps));
-  std::snprintf(dur, sizeof(dur), "%.6f",
-                ps_to_trace_us(e.end_ps - e.begin_ps));
-  const std::string name =
-      e.label.empty() ? std::string(tilesim::to_string(e.kind)) : e.label;
-  os << (first ? "\n" : ",\n") << "    {\"name\": \"" << json_escape(name)
-     << "\", \"cat\": \"" << tilesim::to_string(e.kind)
-     << "\", \"ph\": \"X\", \"ts\": " << ts << ", \"dur\": " << dur
-     << ", \"pid\": " << pid << ", \"tid\": " << e.tile << "}";
+std::string trace_us(tilesim::ps_t ps) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6f", static_cast<double>(ps) / 1e6);
+  return buf;
 }
 
 }  // namespace
-
-void write_chrome_trace_json(std::ostream& os,
-                             const std::vector<TraceTrack>& tracks) {
-  write_chrome_trace_json(os, tracks, {});
-}
 
 void write_chrome_trace_json(std::ostream& os,
                              const std::vector<TraceTrack>& tracks,
@@ -131,49 +114,144 @@ void write_chrome_trace_json(std::ostream& os,
   os << "{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [";
   bool first = true;
   for (const TraceTrack& track : tracks) {
-    // Metadata events name the process (device) and each tile track.
+    // Metadata events name the process (device) and every track in use.
     os << (first ? "\n" : ",\n")
        << "    {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": "
        << track.pid << ", \"args\": {\"name\": \""
        << json_escape(track.process_name) << "\"}}";
     first = false;
-    int max_tile = -1;
-    for (const auto& e : track.events) max_tile = std::max(max_tile, e.tile);
-    for (int t = 0; t <= max_tile; ++t) {
-      os << ",\n    {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": "
-         << track.pid << ", \"tid\": " << t
-         << ", \"args\": {\"name\": \"tile " << t << "\"}}";
+    std::set<int> tids;
+    for (const TraceEvent& e : track.events) tids.insert(e.tid);
+    for (const TraceFlow& f : flows) {
+      if (f.pid != track.pid) continue;
+      tids.insert(f.src_tile);
+      tids.insert(f.dst_tile);
     }
-    for (const auto& e : track.events) {
-      write_trace_event(os, track.pid, e, false);
+    for (const int tid : tids) {
+      const bool dma = track.tiles > 0 && tid >= track.tiles;
+      os << ",\n    {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": "
+         << track.pid << ", \"tid\": " << tid
+         << ", \"args\": {\"name\": \"tile " << (dma ? tid - track.tiles : tid)
+         << (dma ? " dma" : "") << "\"}}";
+    }
+    for (const TraceEvent& e : track.events) {
+      os << ",\n    {\"name\": \"" << json_escape(e.name) << "\", \"cat\": \""
+         << e.cat << "\", \"ph\": \"X\", \"ts\": " << trace_us(e.begin_ps)
+         << ", \"dur\": " << trace_us(e.end_ps - e.begin_ps)
+         << ", \"pid\": " << track.pid << ", \"tid\": " << e.tid << "}";
     }
   }
   for (const TraceFlow& f : flows) {
-    char sts[64];
-    char fts[64];
-    std::snprintf(sts, sizeof(sts), "%.6f", ps_to_trace_us(f.src_ps));
-    std::snprintf(fts, sizeof(fts), "%.6f", ps_to_trace_us(f.dst_ps));
     os << (first ? "\n" : ",\n") << "    {\"name\": \""
        << json_escape(f.name) << "\", \"cat\": \"wait_edge\", \"ph\": \"s\""
-       << ", \"id\": " << f.id << ", \"ts\": " << sts << ", \"pid\": "
-       << f.pid << ", \"tid\": " << f.src_tile << "}";
+       << ", \"id\": " << f.id << ", \"ts\": " << trace_us(f.src_ps)
+       << ", \"pid\": " << f.pid << ", \"tid\": " << f.src_tile << "}";
     first = false;
     os << ",\n    {\"name\": \"" << json_escape(f.name)
        << "\", \"cat\": \"wait_edge\", \"ph\": \"f\", \"bp\": \"e\""
-       << ", \"id\": " << f.id << ", \"ts\": " << fts << ", \"pid\": "
-       << f.pid << ", \"tid\": " << f.dst_tile << "}";
+       << ", \"id\": " << f.id << ", \"ts\": " << trace_us(f.dst_ps)
+       << ", \"pid\": " << f.pid << ", \"tid\": " << f.dst_tile << "}";
   }
   os << (first ? "" : "\n  ") << "]\n}\n";
 }
 
-void write_chrome_trace_json(std::ostream& os,
-                             const std::vector<tilesim::TraceEvent>& events,
-                             const std::string& process_name) {
-  std::vector<TraceTrack> tracks(1);
-  tracks[0].pid = 0;
-  tracks[0].process_name = process_name;
-  tracks[0].events = events;
-  write_chrome_trace_json(os, tracks);
+// ===========================================================================
+// TraceLog
+// ===========================================================================
+
+TraceLog::TraceLog(const tilesim::Device& device) : device_(&device) {
+  tiles_.reserve(static_cast<std::size_t>(device.tile_count()));
+  for (int i = 0; i < device.tile_count(); ++i) {
+    tiles_.push_back(std::make_unique<PerTile>());
+  }
+}
+
+void TraceLog::on_span_begin(int tile, tilesim::ProbeKind kind,
+                             const char* site, tilesim::ps_t now) {
+  PerTile& pt = *tiles_[static_cast<std::size_t>(tile)];
+  std::scoped_lock lk(pt.mu);
+  pt.stack.push_back(
+      {tilesim::prof_phase_name(tilesim::phase_of(kind)), site, now});
+}
+
+void TraceLog::close_span(int t, PerTile& pt, tilesim::ps_t end_ps) {
+  const OpenSpan s = pt.stack.back();
+  pt.stack.pop_back();
+  pt.events.push_back(
+      {t, s.cat, s.site, pt.base_ps + s.begin_ps, pt.base_ps + end_ps});
+}
+
+void TraceLog::on_span_end(int tile, tilesim::ps_t now) {
+  PerTile& pt = *tiles_[static_cast<std::size_t>(tile)];
+  std::scoped_lock lk(pt.mu);
+  if (pt.stack.empty()) return;  // unbalanced end; nothing to close
+  close_span(tile, pt, now);
+}
+
+void TraceLog::on_wait_edge(int tile, int /*src_tile*/,
+                            tilesim::ProbeKind /*kind*/, const char* site,
+                            tilesim::ps_t from_ps, tilesim::ps_t to_ps) {
+  PerTile& pt = *tiles_[static_cast<std::size_t>(tile)];
+  std::scoped_lock lk(pt.mu);
+  pt.events.push_back(
+      {tile, "wait_edge", site, pt.base_ps + from_ps, pt.base_ps + to_ps});
+}
+
+void TraceLog::on_event(int tile, const tilesim::ProbeEvent& e) {
+  if (e.kind != tilesim::ProbeKind::kDmaIssue) return;
+  PerTile& pt = *tiles_[static_cast<std::size_t>(tile)];
+  std::scoped_lock lk(pt.mu);
+  pt.events.push_back({device_->tile_count() + tile, "nbi", e.site,
+                       pt.base_ps + e.start_ps, pt.base_ps + e.complete_ps});
+}
+
+void TraceLog::on_clock_reset() {
+  // Single-threaded safe point (the Probe contract): every tile's clock
+  // still holds the finished epoch's final value, and every span and wait
+  // ended at or before it.
+  const int n = static_cast<int>(tiles_.size());
+  tilesim::ps_t extent = 0;
+  for (int t = 0; t < n; ++t) {
+    extent = std::max(extent, device_->tile(t).clock().now());
+  }
+  for (int t = 0; t < n; ++t) {
+    PerTile& pt = *tiles_[static_cast<std::size_t>(t)];
+    std::scoped_lock lk(pt.mu);
+    // Spans open across the reset end with the epoch and restart at zero
+    // in the next one, as the profiler counts them.
+    std::vector<OpenSpan> reopen = pt.stack;
+    while (!pt.stack.empty()) {
+      close_span(t, pt, device_->tile(t).clock().now());
+    }
+    for (OpenSpan& s : reopen) s.begin_ps = 0;
+    pt.stack = std::move(reopen);
+    pt.base_ps += extent;
+  }
+}
+
+TraceTrack TraceLog::track(int pid, std::string process_name) const {
+  TraceTrack out{pid, std::move(process_name), device_->tile_count(), {}};
+  for (int t = 0; t < static_cast<int>(tiles_.size()); ++t) {
+    const PerTile& pt = *tiles_[static_cast<std::size_t>(t)];
+    std::scoped_lock lk(pt.mu);
+    out.events.insert(out.events.end(), pt.events.begin(), pt.events.end());
+    const tilesim::ps_t fin = device_->tile(t).clock().now();
+    for (auto s = pt.stack.rbegin(); s != pt.stack.rend(); ++s) {
+      out.events.push_back(
+          {t, s->cat, s->site, pt.base_ps + s->begin_ps, pt.base_ps + fin});
+    }
+  }
+  // Enclosing spans first among those starting together, so viewers nest
+  // them; stable, so the order stays deterministic.
+  std::stable_sort(out.events.begin(), out.events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     if (a.begin_ps != b.begin_ps) {
+                       return a.begin_ps < b.begin_ps;
+                     }
+                     if (a.tid != b.tid) return a.tid < b.tid;
+                     return a.end_ps > b.end_ps;
+                   });
+  return out;
 }
 
 }  // namespace obs

@@ -12,14 +12,14 @@ namespace obs {
 namespace {
 
 // Static "event.<kind>" series labels so the per-event tap does not
-// allocate. Index = FlightKind value.
-const std::string& event_series_name(tilesim::FlightKind kind) {
+// allocate. Index = ProbeKind value.
+const std::string& event_series_name(tilesim::ProbeKind kind) {
   static const std::vector<std::string> names = [] {
     std::vector<std::string> v;
-    v.reserve(tilesim::kFlightKindCount);
-    for (int i = 0; i < tilesim::kFlightKindCount; ++i) {
+    v.reserve(tilesim::kProbeKindCount);
+    for (int i = 0; i < tilesim::kProbeKindCount; ++i) {
       v.emplace_back(std::string("event.") +
-                     fr_kind_name(static_cast<tilesim::FlightKind>(i)));
+                     probe_kind_name(static_cast<tilesim::ProbeKind>(i)));
     }
     return v;
   }();
@@ -66,11 +66,11 @@ void FlightRecorder::set_tap(TimeSeries* ts) {
 void FlightRecorder::flush_cell(PeRing& r) {
   TapCell& c = r.tap;
   if (!c.dirty) return;
-  for (int k = 0; k < tilesim::kFlightKindCount; ++k) {
+  for (int k = 0; k < tilesim::kProbeKindCount; ++k) {
     std::uint64_t& n = c.counts[static_cast<std::size_t>(k)];
     if (n == 0) continue;
     tap_->series_add_window(
-        event_series_name(static_cast<tilesim::FlightKind>(k)), c.window, n);
+        event_series_name(static_cast<tilesim::ProbeKind>(k)), c.window, n);
     n = 0;
   }
   c.dirty = false;
@@ -81,15 +81,9 @@ void FlightRecorder::flush_tap() {
   for (const std::unique_ptr<PeRing>& r : rings_) flush_cell(*r);
 }
 
-void FlightRecorder::on_event(int tile, tilesim::FlightKind kind,
-                              const char* site, tilesim::ps_t vt, int peer,
-                              std::uint64_t bytes, int errc) {
-  record_event(tile, kind, site, vt, peer, bytes, errc);
-}
-
 void FlightRecorder::on_clock_reset() {
   if (device_ == nullptr) return;
-  // Single-threaded safe point (the FlightSink contract): every tile's
+  // Single-threaded safe point (the Probe contract): every tile's
   // clock is final, so the finished epoch's extent is their max.
   tilesim::ps_t extent = 0;
   for (int i = 0; i < device_->tile_count(); ++i) {
@@ -100,12 +94,10 @@ void FlightRecorder::on_clock_reset() {
   if (tap_ != nullptr) tap_->fold_epoch(extent);
 }
 
-void FlightRecorder::record_event(int pe, tilesim::FlightKind kind,
-                                  const char* site, tilesim::ps_t vt,
-                                  int peer, std::uint64_t bytes, int errc) {
+void FlightRecorder::on_event(int pe, const tilesim::ProbeEvent& e) {
   if (pe < 0 || pe >= npes_) return;  // unattributed (standalone engines)
   const tilesim::ps_t folded =
-      epoch_base_ps_.load(std::memory_order_relaxed) + vt;
+      epoch_base_ps_.load(std::memory_order_relaxed) + e.vt;
   PeRing& r = *rings_[static_cast<std::size_t>(pe)];
   // Single writer (this PE's thread): plain slot stores, published by the
   // release store of next_seq below.
@@ -114,11 +106,11 @@ void FlightRecorder::record_event(int pe, tilesim::FlightKind kind,
   slot.vt = folded;
   slot.seq = seq;
   slot.pe = pe;
-  slot.kind = kind;
-  slot.site = site;
-  slot.peer = peer;
-  slot.bytes = bytes;
-  slot.errc = static_cast<std::int32_t>(errc);
+  slot.kind = e.kind;
+  slot.site = e.site;
+  slot.peer = e.peer;
+  slot.bytes = e.bytes;
+  slot.errc = static_cast<std::int32_t>(e.errc);
   r.next_seq.store(seq + 1, std::memory_order_release);
   if (tap_ != nullptr) {
     // Batched tap: bump the local (kind, window) count; flush the cell's
@@ -130,7 +122,7 @@ void FlightRecorder::record_event(int pe, tilesim::FlightKind kind,
                             static_cast<std::uint64_t>(tap_window_ps_);
     if (c.dirty && c.window != w) flush_cell(r);
     c.window = w;
-    c.counts[static_cast<std::size_t>(kind)] += 1;
+    c.counts[static_cast<std::size_t>(e.kind)] += 1;
     c.dirty = true;
   }
 }
@@ -193,9 +185,9 @@ namespace {
 
 void write_event_json(std::ostream& os, const FrEvent& e) {
   os << "{\"vt\": " << e.vt << ", \"seq\": " << e.seq << ", \"pe\": "
-     << e.pe << ", \"kind\": \"" << fr_kind_name(e.kind) << "\", \"site\": \""
-     << json_escape(e.site) << "\", \"peer\": " << e.peer << ", \"bytes\": "
-     << e.bytes << ", \"errc\": " << e.errc << "}";
+     << e.pe << ", \"kind\": \"" << probe_kind_name(e.kind)
+     << "\", \"site\": \"" << json_escape(e.site) << "\", \"peer\": " << e.peer
+     << ", \"bytes\": " << e.bytes << ", \"errc\": " << e.errc << "}";
 }
 
 }  // namespace

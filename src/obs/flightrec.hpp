@@ -1,8 +1,8 @@
 // Per-PE flight recorder: fixed-capacity ring buffers of compact event
 // records, plus the tshmem.blackbox.v1 post-mortem dump (ISSUE 9 tentpole).
 //
-// The recorder is the only implementation of tilesim::FlightSink
-// (sim/flight_hook.hpp). Each PE owns a ring of `capacity` FrEvent records;
+// The recorder is a tilesim::Probe consumer (sim/probe.hpp) of point
+// events. Each PE owns a ring of `capacity` FrEvent records;
 // recording overwrites the oldest. Because every event is reported from the
 // owning PE's thread in program order with that PE's own virtual time, ring
 // contents are deterministic across host schedules for deterministic
@@ -18,7 +18,7 @@
 //
 // Zero virtual cost: nothing here touches a SimClock; the recorder-on/off
 // bit-identity loop in tools/ci.sh enforces it. Mutation outside src/obs/
-// must go through obs::fr_record / tilesim::flight_event (lint rule R006).
+// must go through obs::fr_record / tilesim::probe_event (lint rule R005).
 #pragma once
 
 #include <array>
@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/flight_hook.hpp"
+#include "sim/probe.hpp"
 
 namespace obs {
 
@@ -40,14 +40,14 @@ struct FrEvent {
   tilesim::ps_t vt = 0;
   std::uint64_t seq = 0;  ///< per-PE monotone ordinal (0-based)
   int pe = 0;
-  tilesim::FlightKind kind = tilesim::FlightKind::kPut;
+  tilesim::ProbeKind kind = tilesim::ProbeKind::kPut;
   const char* site = "";
   std::int32_t peer = -1;
   std::uint64_t bytes = 0;
   std::int32_t errc = 0;
 };
 
-class FlightRecorder final : public tilesim::FlightSink {
+class FlightRecorder final : public tilesim::Probe {
  public:
   static constexpr std::size_t kDefaultCapacity = 256;
 
@@ -65,18 +65,11 @@ class FlightRecorder final : public tilesim::FlightSink {
   /// Flushes and detaches the tap (equivalent to set_tap(nullptr)).
   ~FlightRecorder() override;
 
-  // tilesim::FlightSink
-  void on_event(int tile, tilesim::FlightKind kind, const char* site,
-                tilesim::ps_t vt, int peer, std::uint64_t bytes,
-                int errc) override;
+  /// Records one event of PE `pe` with an epoch-local `vt`. Call through
+  /// tilesim::probe_event / obs::fr_record outside src/obs/ (lint rule
+  /// R005).
+  void on_event(int pe, const tilesim::ProbeEvent& e) override;
   void on_clock_reset() override;
-
-  /// Raw mutator (lint rule R006): records one event with an epoch-local
-  /// `vt`. Call through obs::fr_record / tilesim::flight_event outside
-  /// src/obs/.
-  void record_event(int pe, tilesim::FlightKind kind, const char* site,
-                    tilesim::ps_t vt, int peer, std::uint64_t bytes,
-                    int errc);
 
   /// Forward every recorded event as an "event.<kind>" count (and every
   /// epoch fold) to `ts`. Counts are batched per (PE, kind, window) in the
@@ -102,7 +95,7 @@ class FlightRecorder final : public tilesim::FlightSink {
   [[nodiscard]] std::vector<FrEvent> merged() const;
 
  private:
-  // Single-writer ring: the FlightSink contract guarantees every event for
+  // Single-writer ring: the Probe contract guarantees every event for
   // one PE is reported from that PE's own thread, so the write path needs
   // no lock — slot stores are published by a release store of next_seq,
   // and a concurrent snapshot drops any prefix the writer may have
@@ -116,7 +109,7 @@ class FlightRecorder final : public tilesim::FlightSink {
   struct TapCell {
     std::uint64_t window = 0;
     bool dirty = false;
-    std::array<std::uint64_t, tilesim::kFlightKindCount> counts{};
+    std::array<std::uint64_t, tilesim::kProbeKindCount> counts{};
   };
 
   struct PeRing {
@@ -133,7 +126,7 @@ class FlightRecorder final : public tilesim::FlightSink {
   const tilesim::Device* device_ = nullptr;
   TimeSeries* tap_ = nullptr;
   tilesim::ps_t tap_window_ps_ = 0;  ///< cached tap_->window_ps()
-  // Atomic, not mutex-guarded: record_event reads it on every event from
+  // Atomic, not mutex-guarded: on_event reads it on every event from
   // every PE thread (a shared mutex here measurably throttles put-heavy
   // benches), while stores only happen at the single-threaded safe points
   // on_clock_reset() is contractually confined to.
@@ -142,12 +135,12 @@ class FlightRecorder final : public tilesim::FlightSink {
 };
 
 /// Null-safe sanctioned entry point (the only way code outside src/obs/
-/// may mutate a FlightRecorder directly — lint rule R006). Prefer
-/// tilesim::flight_event when a Device is at hand.
-inline void fr_record(FlightRecorder* fr, int pe, tilesim::FlightKind kind,
+/// may mutate a FlightRecorder directly — lint rule R005). Prefer
+/// tilesim::probe_event when a Device is at hand.
+inline void fr_record(FlightRecorder* fr, int pe, tilesim::ProbeKind kind,
                       const char* site, tilesim::ps_t vt, int peer = -1,
                       std::uint64_t bytes = 0, int errc = 0) {
-  if (fr != nullptr) fr->record_event(pe, kind, site, vt, peer, bytes, errc);
+  if (fr != nullptr) fr->on_event(pe, {kind, site, vt, peer, bytes, errc});
 }
 
 inline constexpr const char* kBlackboxSchema = "tshmem.blackbox.v1";

@@ -37,8 +37,9 @@ Profiler::Profiler(const tilesim::Device& device) : device_(&device) {
 
 Profiler::~Profiler() = default;
 
-void Profiler::on_span_begin(int tile, ProfPhase phase, const char* site,
-                             ps_t now) {
+void Profiler::on_span_begin(int tile, tilesim::ProbeKind kind,
+                             const char* site, ps_t now) {
+  const ProfPhase phase = tilesim::phase_of(kind);
   PeState& st = *pes_[static_cast<std::size_t>(tile)];
   std::scoped_lock lk(st.mu);
   if (st.epoch.stack.size() >= kMaxStack ||
@@ -62,45 +63,37 @@ void Profiler::on_span_end(int tile, ps_t now) {
     ++st.cum.dropped;  // unbalanced end (reset mid-span); nothing to close
     return;
   }
-  const OpenSpan top = st.epoch.stack.back();
-  st.epoch.stack.pop_back();
-  const ps_t dur = sub_sat(now, top.begin_ps);
-  const ps_t self = sub_sat(dur, top.child_ps);
-
-  ProfileSite& agg =
-      st.cum.agg[{static_cast<std::uint8_t>(top.phase), top.site}];
-  agg.calls += 1;
-  agg.self_ps += self;
-  agg.total_ps += dur;
-
-  std::string key = "pe" + std::to_string(tile);
-  for (const OpenSpan& s : st.epoch.stack) {
-    key += ';';
-    key += tilesim::prof_phase_name(s.phase);
-    key += ':';
-    key += s.site;
-  }
-  key += ';';
-  key += tilesim::prof_phase_name(top.phase);
-  key += ':';
-  key += top.site;
-  st.cum.folded[key] += self;
-
-  if (!st.epoch.stack.empty()) {
-    st.epoch.stack.back().child_ps += dur;
-  }
+  const std::uint8_t outer = close_span(tile, st.epoch, st.cum, now);
   if (st.epoch.timeline.size() < kMaxTimeline) {
-    const std::uint8_t outer =
-        st.epoch.stack.empty()
-            ? static_cast<std::uint8_t>(ProfPhase::kCompute)
-            : static_cast<std::uint8_t>(st.epoch.stack.back().phase);
     st.epoch.timeline.emplace_back(now, outer);
   } else {
     ++st.cum.dropped;
   }
 }
 
-void Profiler::on_wait_edge(int tile, int src_tile, ProfPhase fallback,
+std::uint8_t Profiler::close_span(int pe, PeEpoch& ep, PeCum& c, ps_t end) {
+  std::string key = "pe" + std::to_string(pe);
+  for (const OpenSpan& s : ep.stack) {
+    key += ';';
+    key += tilesim::prof_phase_name(s.phase);
+    key += ':';
+    key += s.site;
+  }
+  const OpenSpan top = ep.stack.back();
+  ep.stack.pop_back();
+  const ps_t dur = sub_sat(end, top.begin_ps);
+  const ps_t self = sub_sat(dur, top.child_ps);
+  ProfileSite& agg = c.agg[{static_cast<std::uint8_t>(top.phase), top.site}];
+  agg.calls += 1;
+  agg.self_ps += self;
+  agg.total_ps += dur;
+  c.folded[key] += self;
+  if (ep.stack.empty()) return static_cast<std::uint8_t>(ProfPhase::kCompute);
+  ep.stack.back().child_ps += dur;
+  return static_cast<std::uint8_t>(ep.stack.back().phase);
+}
+
+void Profiler::on_wait_edge(int tile, int src_tile, tilesim::ProbeKind kind,
                             const char* site, ps_t from_ps, ps_t to_ps) {
   PeState& st = *pes_[static_cast<std::size_t>(tile)];
   std::scoped_lock lk(st.mu);
@@ -108,8 +101,9 @@ void Profiler::on_wait_edge(int tile, int src_tile, ProfPhase fallback,
     ++st.cum.dropped;
     return;
   }
-  const ProfPhase phase =
-      st.epoch.stack.empty() ? fallback : st.epoch.stack.back().phase;
+  const ProfPhase phase = st.epoch.stack.empty()
+                              ? tilesim::phase_of(kind)
+                              : st.epoch.stack.back().phase;
   st.epoch.edges.push_back({src_tile, phase, site, from_ps, to_ps});
 }
 
@@ -235,33 +229,7 @@ void Profiler::fold_epoch(const std::vector<ps_t>& final_vts,
     // Force-close any spans still open at the epoch boundary at `fin`
     // (attributing their time), innermost first.
     while (!ep.stack.empty()) {
-      const OpenSpan top = ep.stack.back();
-      ep.stack.pop_back();
-      const ps_t dur = sub_sat(fin, top.begin_ps);
-      const ps_t self = sub_sat(dur, top.child_ps);
-      ProfileSite& agg =
-          c.agg[{static_cast<std::uint8_t>(top.phase), top.site}];
-      agg.calls += 1;
-      agg.self_ps += self;
-      agg.total_ps += dur;
-      std::string key = "pe" + std::to_string(i);
-      for (const OpenSpan& s : ep.stack) {
-        key += ';';
-        key += tilesim::prof_phase_name(s.phase);
-        key += ':';
-        key += s.site;
-      }
-      key += ';';
-      key += tilesim::prof_phase_name(top.phase);
-      key += ':';
-      key += top.site;
-      c.folded[key] += self;
-      if (!ep.stack.empty()) ep.stack.back().child_ps += dur;
-      const std::uint8_t outer =
-          ep.stack.empty()
-              ? static_cast<std::uint8_t>(ProfPhase::kCompute)
-              : static_cast<std::uint8_t>(ep.stack.back().phase);
-      ep.timeline.emplace_back(fin, outer);
+      ep.timeline.emplace_back(fin, close_span(i, ep, c, fin));
     }
 
     std::array<ps_t, kProfPhaseCount> epoch_phase{};
@@ -291,12 +259,13 @@ void Profiler::fold_epoch(const std::vector<ps_t>& final_vts,
   }
 
   if (total > 0) {
-    g.total_vt_ps += total;
-    g.epochs += 1;
     if (total > g.best_epoch_vt) {
       g.best_epoch_vt = total;
+      g.best_epoch_base = g.total_vt_ps;
       critical_path(final_vts, epochs, total, g.best_path, g.best_crit);
     }
+    g.total_vt_ps += total;
+    g.epochs += 1;
   }
 }
 
@@ -444,6 +413,7 @@ ProfileReport Profiler::report() const {
   if (r.top_edges.size() > top_k_) r.top_edges.resize(top_k_);
 
   r.crit_epoch_vt_ps = g.best_epoch_vt;
+  r.crit_epoch_base_ps = g.best_epoch_base;
   r.critical_path = std::move(g.best_path);
   r.crit_phase_ps = g.best_crit;
   ps_t crit_sum = 0;
@@ -565,9 +535,9 @@ std::vector<TraceFlow> profile_flow_events(const ProfileReport& r, int pid,
     f.id = id++;
     f.name = s.site.empty() ? s.phase : s.site;
     f.src_tile = s.src_pe >= 0 ? s.src_pe : s.pe;
-    f.src_ps = s.from_ps;
+    f.src_ps = r.crit_epoch_base_ps + s.from_ps;
     f.dst_tile = s.pe;
-    f.dst_ps = s.to_ps;
+    f.dst_ps = r.crit_epoch_base_ps + s.to_ps;
     flows.push_back(std::move(f));
   }
   return flows;

@@ -1,6 +1,6 @@
 // Virtual-time critical-path profiler (ISSUE 7 tentpole).
 //
-// The only implementation of tilesim::ProfileSink. Records per-PE span
+// A tilesim::Probe consumer (sim/probe.hpp). Records per-PE span
 // stacks (compute / UDN wait / DMA / barrier / collective / lock / guarded
 // wait) plus wait-for edges — "PE d's clock jumped from A to B waiting on a
 // timestamp produced by PE s" — and computes the critical path of a run:
@@ -26,7 +26,7 @@
 //   - write_profile_folded: collapsed stacks ("pe0;barrier:shmem_barrier N")
 //     for flamegraph.pl / speedscope / inferno;
 //   - profile_flow_events: Perfetto flow arrows for the critical path's
-//     wait edges, layered onto the Chrome trace exporter.
+//     wait edges, layered onto the trace log's Chrome trace export.
 #pragma once
 
 #include <array>
@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "obs/exporters.hpp"
-#include "sim/profile_hook.hpp"
+#include "sim/probe.hpp"
 
 namespace obs {
 
@@ -98,8 +98,11 @@ struct ProfileReport {
   std::vector<ProfileSite> sites;          ///< sorted by total_ps desc, name
   std::vector<ProfileWaitEdge> top_edges;  ///< sorted by wait_ps desc, top-k
 
-  /// Critical path of the longest epoch.
+  /// Critical path of the longest epoch, which starts `crit_epoch_base_ps`
+  /// into the run (the earlier epochs' summed virtual time; not exported
+  /// to JSON, it places the path on the trace log's timeline).
   ps_t crit_epoch_vt_ps = 0;
+  ps_t crit_epoch_base_ps = 0;
   std::vector<CritSegment> critical_path;
   std::array<ps_t, tilesim::kProfPhaseCount> crit_phase_ps{};
   std::string dominant_phase;   ///< phase with the largest on-path share
@@ -109,11 +112,11 @@ struct ProfileReport {
   std::map<std::string, ps_t> folded;
 };
 
-/// The profiler. Attach with Device::attach_profiler; one instance per
+/// The profiler. Attach with Device::attach_probe; one instance per
 /// Device. All span/edge callbacks for a PE arrive from that PE's own host
 /// thread; epoch folding happens at reset_clocks()'s single-threaded safe
 /// points (per-PE mutexes keep the handoff TSan-clean).
-class Profiler final : public tilesim::ProfileSink {
+class Profiler final : public tilesim::Probe {
  public:
   explicit Profiler(const tilesim::Device& device);
   ~Profiler() override;
@@ -121,10 +124,10 @@ class Profiler final : public tilesim::ProfileSink {
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  void on_span_begin(int tile, tilesim::ProfPhase phase, const char* site,
+  void on_span_begin(int tile, tilesim::ProbeKind kind, const char* site,
                      ps_t now) override;
   void on_span_end(int tile, ps_t now) override;
-  void on_wait_edge(int tile, int src_tile, tilesim::ProfPhase fallback,
+  void on_wait_edge(int tile, int src_tile, tilesim::ProbeKind kind,
                     const char* site, ps_t from_ps, ps_t to_ps) override;
   void on_clock_reset() override;
 
@@ -178,6 +181,7 @@ class Profiler final : public tilesim::ProfileSink {
     ps_t total_vt_ps = 0;
     std::uint64_t epochs = 0;
     ps_t best_epoch_vt = 0;
+    ps_t best_epoch_base = 0;
     std::vector<CritSegment> best_path;
     std::array<ps_t, tilesim::kProfPhaseCount> best_crit{};
   };
@@ -187,6 +191,10 @@ class Profiler final : public tilesim::ProfileSink {
     PeEpoch epoch;
     PeCum cum;
   };
+
+  /// Pops PE `pe`'s innermost open span at `end`, attributing it to `c`;
+  /// returns the phase now innermost (the timeline's next value).
+  static std::uint8_t close_span(int pe, PeEpoch& ep, PeCum& c, ps_t end);
 
   /// Folds one finished epoch (final_vts = per-PE completion clocks) into
   /// `cum`/`g`. Consumes `epochs` (timelines walked, stacks force-closed).
@@ -216,7 +224,8 @@ void write_profile_json(std::ostream& os, const ProfileReport& report);
 void write_profile_folded(std::ostream& os, const ProfileReport& report);
 
 /// Perfetto flow arrows for the critical path's wait edges (one "s"/"f"
-/// pair per wait segment), for layering onto write_chrome_trace_json.
+/// pair per wait segment), on the trace log's run timeline, for layering
+/// onto write_chrome_trace_json.
 [[nodiscard]] std::vector<TraceFlow> profile_flow_events(
     const ProfileReport& report, int pid, std::uint64_t first_id = 0);
 

@@ -16,7 +16,7 @@
 // Host-side cost only, zero virtual cost: ingestion never touches a
 // SimClock, and the recorder-on/off bit-identity loop in tools/ci.sh
 // covers it. Mutation outside src/obs/ must go through the null-safe
-// obs::ts_add / obs::ts_sample helpers (lint rule R006).
+// obs::ts_add / obs::ts_sample helpers (lint rule R005).
 #pragma once
 
 #include <cstdint>
@@ -74,13 +74,13 @@ class TimeSeries {
 
   /// Raw counter mutator: adds `delta` to series `name` in the window
   /// containing epoch-local virtual time `vt`. Call through obs::ts_add
-  /// outside src/obs/ (lint rule R006).
+  /// outside src/obs/ (lint rule R005).
   void series_add(const std::string& name, tilesim::ps_t vt,
                   std::uint64_t delta);
 
   /// Raw histogram mutator: records `value` into series `name`'s window
   /// histogram (and bumps its count). Call through obs::ts_sample outside
-  /// src/obs/ (lint rule R006).
+  /// src/obs/ (lint rule R005).
   void series_sample(const std::string& name, tilesim::ps_t vt,
                      std::uint64_t value);
 
@@ -89,7 +89,7 @@ class TimeSeries {
   /// already resolved the window). This is the FlightRecorder tap's flush
   /// path; it exists so the per-event hot path can batch counts per
   /// (PE, kind, window) instead of taking mu_ per event. Raw mutator under
-  /// lint rule R006.
+  /// lint rule R005.
   void series_add_window(const std::string& name, std::uint64_t window_index,
                          std::uint64_t delta);
 
@@ -102,7 +102,7 @@ class TimeSeries {
 
   /// Epoch boundary: every later observation's vt is offset by the
   /// finished epoch's `extent` (the max tile clock at reset). Raw mutator
-  /// under lint rule R006; the FlightRecorder forwards its own fold here.
+  /// under lint rule R005; the FlightRecorder forwards its own fold here.
   void fold_epoch(tilesim::ps_t extent);
 
   [[nodiscard]] tilesim::ps_t epoch_base_ps() const;
@@ -132,7 +132,7 @@ class TimeSeries {
 void write_timeseries_json(std::ostream& os, const TimeSeriesReport& report);
 
 /// Null-safe sanctioned entry points (the only way code outside src/obs/
-/// may mutate a TimeSeries — lint rule R006).
+/// may mutate a TimeSeries — lint rule R005).
 inline void ts_add(TimeSeries* ts, const std::string& name, tilesim::ps_t vt,
                    std::uint64_t delta = 1) {
   if (ts != nullptr) ts->series_add(name, vt, delta);

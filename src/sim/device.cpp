@@ -11,10 +11,8 @@
 #include <sched.h>
 #endif
 
-#include "sim/flight_hook.hpp"
 #include "sim/guarded_wait.hpp"
-#include "sim/profile_hook.hpp"
-#include "sim/sync_observer.hpp"
+#include "sim/probe.hpp"
 
 namespace tilesim {
 
@@ -51,37 +49,21 @@ struct Device::HostBarrier {
   std::uint64_t generation = 0;
 };
 
-namespace {
-// Records a charge interval against the device tracer when one is attached.
-void trace_charge(Device& device, int tile, TraceKind kind, ps_t begin,
-                  ps_t end) {
-  if (TraceRecorder* tracer = device.tracer(); tracer != nullptr) {
-    tracer->record(tile, kind, begin, end);
-  }
-}
-}  // namespace
-
 Tile::Tile(Device& device, int id)
     : device_(&device),
       id_(id),
       dma_(std::make_unique<DmaEngine>(device.config(), id)) {}
 
 void Tile::charge_int_ops(std::uint64_t n) {
-  const ps_t t0 = clock_.now();
   clock_.advance(n * device_->config().compute.int_op_ps);
-  trace_charge(*device_, id_, TraceKind::kCompute, t0, clock_.now());
 }
 
 void Tile::charge_fp_ops(std::uint64_t n) {
-  const ps_t t0 = clock_.now();
   clock_.advance(n * device_->config().compute.fp_op_ps);
-  trace_charge(*device_, id_, TraceKind::kCompute, t0, clock_.now());
 }
 
 void Tile::charge_mem_ops(std::uint64_t n) {
-  const ps_t t0 = clock_.now();
   clock_.advance(n * device_->config().compute.mem_op_ps);
-  trace_charge(*device_, id_, TraceKind::kCompute, t0, clock_.now());
 }
 
 void Tile::charge_calls(std::uint64_t n) {
@@ -89,9 +71,7 @@ void Tile::charge_calls(std::uint64_t n) {
 }
 
 void Tile::charge_copy(const CopyRequest& req) {
-  const ps_t t0 = clock_.now();
   clock_.advance(device_->mem_model().copy_cost_ps(req));
-  trace_charge(*device_, id_, TraceKind::kCopy, t0, clock_.now());
   if (device_->cache_probes_enabled()) {
     std::scoped_lock lk(probe_mu_);
     if (!probe_) probe_ = std::make_unique<CacheSim>(device_->config());
@@ -152,23 +132,25 @@ int Device::usable_cpus() noexcept {
   return cpus;
 }
 
-void Device::attach_flight(FlightSink* flight) noexcept {
-  flight_ = flight;
-  // DMA engines carry no Device back-pointer (they predate the sink and are
-  // constructible standalone), so the attachment is fanned out to them.
-  for (auto& t : tiles_) t->dma().set_flight(flight);
+void Device::attach_probe(Probe* probe) {
+  if (host_barrier_) {
+    throw std::logic_error("attach_probe called inside Device::run");
+  }
+  probes_.push_back(probe);
+}
+
+void Device::detach_probe(Probe* probe) {
+  if (host_barrier_) {
+    throw std::logic_error("detach_probe called inside Device::run");
+  }
+  std::erase(probes_, probe);
 }
 
 void Device::reset_clocks() {
-  // Epoch boundary for the profiler and flight recorder: reset_clocks() is
-  // only legal from single-threaded safe points, so the sinks may read every
-  // tile's final clock value here, before anything is zeroed.
-  if (profiler_ != nullptr) {
-    profiler_->on_clock_reset();  // tshmem-lint: allow(R005)
-  }
-  if (flight_ != nullptr) {
-    flight_->on_clock_reset();  // tshmem-lint: allow(R005, R006)
-  }
+  // Epoch boundary: reset_clocks() is only legal from single-threaded safe
+  // points, so the probes may read every tile's final clock value here,
+  // before anything is zeroed.
+  probe_clock_reset(*this);
   // DMA engines first: an engine with in-flight transfers must fail the
   // reset *before* any clock is zeroed (stale future completion timestamps
   // would otherwise poison advance_to after the reset).
@@ -186,21 +168,15 @@ void Device::host_sync() {
     throw std::logic_error("host_sync called outside Device::run");
   }
   HostBarrier& b = *host_barrier_;
-  // A host rendezvous is a real synchronization of every active tile (it is
-  // how benchmarks separate measurement phases), so it is reported to the
-  // sync observer (tshmem-check) as a rendezvous. The arrive callback runs
-  // before this tile arrives, and the generation opens only after every
-  // member arrived, so all arrive callbacks complete before any release
-  // callback — the SyncObserver contract. Each tile participates in every
-  // host_sync of a run, so its own call count is a consistent generation.
-  SyncObserver* observer = sync_observer_;
-  std::uint64_t seq = 0;
-  if (observer != nullptr) {
-    seq = host_sync_seq_[static_cast<std::size_t>(self->id())]++;
-    observer->on_rendezvous_arrive(&b, seq, self->id());
-  }
   std::unique_lock lk(b.mu);
   const std::uint64_t my_generation = b.generation;
+  // A host rendezvous is a real synchronization of every active tile (it is
+  // how benchmarks separate measurement phases), so it is reported to the
+  // probes (tshmem-check) as a rendezvous. Each arrive is reported before
+  // this tile arrives, and the generation opens only after every member
+  // arrived, so all arrives complete before any release — the Probe
+  // contract.
+  probe_rendezvous_arrive(*this, &b, my_generation, self->id());
   if (++b.arrived == b.members) {
     b.open(lk);
   } else {
@@ -216,9 +192,8 @@ void Device::host_sync() {
     }
   }
   if (lk.owns_lock()) lk.unlock();
-  if (observer != nullptr) {
-    observer->on_rendezvous_release(&b, seq, self->id(), active_tiles_);
-  }
+  probe_rendezvous_release(*this, &b, my_generation, self->id(),
+                           active_tiles_);
 }
 
 void Device::sync_and_reset_clocks() {
@@ -240,7 +215,6 @@ void Device::run(int active_tiles, const std::function<void(Tile&)>& fn) {
   }
   active_tiles_ = active_tiles;
   host_barrier_ = std::make_unique<HostBarrier>(active_tiles);
-  host_sync_seq_.assign(tiles_.size(), 0);
   // Force-clear DMA engines: a previous job that threw with outstanding
   // non-blocking transfers must not leak descriptors into this one.
   for (auto& t : tiles_) t->dma().clear();

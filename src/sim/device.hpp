@@ -17,14 +17,11 @@
 #include "sim/fault.hpp"
 #include "sim/mem_model.hpp"
 #include "sim/topology.hpp"
-#include "sim/trace.hpp"
 
 namespace tilesim {
 
 class Device;
-class SyncObserver;  // sim/sync_observer.hpp
-class ProfileSink;   // sim/profile_hook.hpp
-class FlightSink;    // sim/flight_hook.hpp
+class Probe;  // sim/probe.hpp
 
 /// One tile of the mesh. Owned by Device; bound 1:1 to a host thread for
 /// the duration of a Device::run() call.
@@ -134,12 +131,6 @@ class Device {
     return clock_generation_.load(std::memory_order_acquire);
   }
 
-  /// Attach (or detach with nullptr) a virtual-time tracer; compute/copy
-  /// charges on every tile are recorded while attached. The recorder must
-  /// outlive its attachment and cover tile_count() tiles.
-  void attach_tracer(TraceRecorder* tracer) noexcept { tracer_ = tracer; }
-  [[nodiscard]] TraceRecorder* tracer() const noexcept { return tracer_; }
-
   /// Streams every charged copy through a per-tile CacheSim (metrics
   /// instrumentation: per-tile L1/L2/DDC/DRAM hit counts). A tile's probe
   /// is built at its first charged copy, so tiles that never copy cost
@@ -152,7 +143,7 @@ class Device {
 
   /// Attach (or detach with nullptr) a fault-injection engine. The engine
   /// must outlive its attachment. With no engine attached every hardened
-  /// layer takes its zero-cost fast path (same contract as the tracer).
+  /// layer takes its zero-cost fast path.
   void attach_fault(FaultEngine* fault) noexcept { fault_ = fault; }
   [[nodiscard]] FaultEngine* fault() const noexcept { return fault_; }
 
@@ -163,38 +154,15 @@ class Device {
     return watchdog_ && watchdog_->enabled() ? watchdog_ : nullptr;
   }
 
-  /// Attach (or detach with nullptr) a rendezvous-synchronization observer
-  /// (sim/sync_observer.hpp): the TMC spin/sync barriers report arrival
-  /// and release of every participant while attached. Same contract as
-  /// the tracer/fault engine: must outlive the attachment, never advances
-  /// virtual time, and the nullptr default keeps the fast path zero-cost.
-  void attach_sync_observer(SyncObserver* observer) noexcept {
-    sync_observer_ = observer;
+  /// Adds `probe` to the consumers every instrumented op reports to
+  /// (sim/probe.hpp); reset_clocks() notifies each at every epoch
+  /// boundary. The probe must outlive its attachment. Throws
+  /// std::logic_error inside run(): tile threads read the list unlocked.
+  void attach_probe(Probe* probe);
+  void detach_probe(Probe* probe);
+  [[nodiscard]] const std::vector<Probe*>& probes() const noexcept {
+    return probes_;
   }
-  [[nodiscard]] SyncObserver* sync_observer() const noexcept {
-    return sync_observer_;
-  }
-
-  /// Attach (or detach with nullptr) the virtual-time profiler sink
-  /// (sim/profile_hook.hpp): span begin/end and wait-for edges are reported
-  /// while attached, and reset_clocks() notifies it at every epoch
-  /// boundary. Same contract as the tracer/fault engine: must outlive the
-  /// attachment, never advances virtual time, and the nullptr default keeps
-  /// the fast path zero-cost.
-  void attach_profiler(ProfileSink* profiler) noexcept {
-    profiler_ = profiler;
-  }
-  [[nodiscard]] ProfileSink* profiler() const noexcept { return profiler_; }
-
-  /// Attach (or detach with nullptr) the flight-recorder sink
-  /// (sim/flight_hook.hpp): instrumented operations report compact event
-  /// records while attached, and reset_clocks() notifies it at every epoch
-  /// boundary. Also plumbs the sink into each tile's DMA engine (which has
-  /// no Device back-pointer). Same contract as the tracer/fault engine:
-  /// must outlive the attachment, never advances virtual time, and the
-  /// nullptr default keeps the fast path zero-cost.
-  void attach_flight(FlightSink* flight) noexcept;
-  [[nodiscard]] FlightSink* flight() const noexcept { return flight_; }
 
  private:
   struct HostBarrier;  // host_sync's generation barrier, one per run()
@@ -205,13 +173,9 @@ class Device {
   std::vector<std::unique_ptr<Tile>> tiles_;
   std::unique_ptr<HostBarrier> host_barrier_;
   int active_tiles_ = 0;
-  std::vector<std::uint64_t> host_sync_seq_;  // per-tile host_sync phase
-  TraceRecorder* tracer_ = nullptr;
+  std::vector<Probe*> probes_;
   FaultEngine* fault_ = nullptr;
   const Watchdog* watchdog_ = nullptr;
-  SyncObserver* sync_observer_ = nullptr;
-  ProfileSink* profiler_ = nullptr;
-  FlightSink* flight_ = nullptr;
   bool cache_probes_ = false;
   std::atomic<std::uint64_t> clock_generation_{0};
 };

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/flight_hook.hpp"
-
 namespace tilesim {
 
 DmaDescriptor DmaEngine::issue(int peer, bool is_put, std::size_t bytes,
@@ -26,14 +24,6 @@ DmaDescriptor DmaEngine::issue(int peer, bool is_put, std::size_t bytes,
   stats_.bytes += bytes;
   stats_.peak_pending = std::max(
       stats_.peak_pending, static_cast<std::uint64_t>(pending_.size()));
-  // issue() is only ever called by the owning tile's thread, so reporting
-  // here preserves per-PE program order; the issue timestamp is the PE's
-  // own clock, keeping ring contents host-schedule independent.
-  if (flight_ != nullptr && tile_id_ >= 0) {
-    flight_->on_event(tile_id_, FlightKind::kDmaIssue,  // tshmem-lint: allow(R006)
-                      is_put ? "dma_put" : "dma_get", d.issue_ps, peer,
-                      bytes, 0);
-  }
   return d;
 }
 
@@ -57,12 +47,6 @@ DmaEngine::DrainResult DmaEngine::drain_all() {
   r.retired = pending_.size();
   stats_.retired += pending_.size();
   pending_.clear();
-  // Drains only happen on the owning tile (shmem_quiet); `bytes` carries
-  // the retired-descriptor count for this kind.
-  if (flight_ != nullptr && tile_id_ >= 0 && r.retired > 0) {
-    flight_->on_event(tile_id_, FlightKind::kDmaDrain,  // tshmem-lint: allow(R006)
-                      "dma_drain", r.max_complete_ps, -1, r.retired, 0);
-  }
   return r;
 }
 

@@ -30,8 +30,6 @@
 
 namespace tilesim {
 
-class FlightSink;  // sim/flight_hook.hpp
-
 /// One in-flight (or retired) transfer owned by a tile's DMA engine.
 struct DmaDescriptor {
   std::uint64_t id = 0;   ///< per-engine monotone issue ordinal
@@ -99,10 +97,6 @@ class DmaEngine {
   /// transfers cannot leak state into the next one.
   void clear();
 
-  /// Flight-recorder sink, fanned out by Device::attach_flight (the engine
-  /// has no Device back-pointer). Nullptr keeps the fast path zero-cost.
-  void set_flight(FlightSink* sink) noexcept { flight_ = sink; }
-
  private:
   const DeviceConfig* cfg_;
   int tile_id_ = -1;
@@ -113,7 +107,6 @@ class DmaEngine {
   ps_t engine_free_ps_ = 0;
   std::uint64_t next_id_ = 1;
   DmaStats stats_;
-  FlightSink* flight_ = nullptr;
 };
 
 }  // namespace tilesim

@@ -30,7 +30,7 @@
 
 #include "sim/device.hpp"
 #include "sim/fault.hpp"
-#include "sim/flight_hook.hpp"
+#include "sim/probe.hpp"
 
 namespace tilesim {
 
@@ -114,10 +114,11 @@ void guarded_wait(const Device& device, std::unique_lock<std::mutex>& lk,
                   Pred pred) {
   // Flight-recorder bracket: the clock cannot advance inside a wait, so
   // begin and end carry the same virtual time — host-schedule independent.
-  const ps_t wait_vt = device.tile(tile).clock().now();
-  flight_event(device, tile, FlightKind::kWaitBegin, what, wait_vt);
+  const Tile& self = device.tile(tile);
+  const ps_t wait_vt = self.clock().now();
+  probe_event(self, {ProbeKind::kWaitBegin, what, wait_vt});
   guarded_host_wait(device, lk, cv, tile, what, pred);
-  flight_event(device, tile, FlightKind::kWaitEnd, what, wait_vt);
+  probe_event(self, {ProbeKind::kWaitEnd, what, wait_vt});
 }
 
 /// Nullable-device variant for components whose Device is optional (the
@@ -144,8 +145,8 @@ void guarded_spin(const Device& device, int tile, const char* what,
   // Begin-only bracket: attempts may advance virtual time (a failed lock
   // CAS charges the atomic cost model), so the matching end event belongs
   // to the caller, which records it after merging the final timestamp.
-  flight_event(device, tile, FlightKind::kWaitBegin, what,
-               device.tile(tile).clock().now());
+  const Tile& self = device.tile(tile);
+  probe_event(self, {ProbeKind::kWaitBegin, what, self.clock().now()});
   const Watchdog* wd = device.watchdog();
   auto deadline = wd != nullptr
                       ? std::chrono::steady_clock::now() + wd->timeout

@@ -10,7 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sim/flight_hook.hpp"
+#include "sim/probe.hpp"
 #include "svc/cache.hpp"
 #include "util/error.hpp"
 
@@ -215,7 +215,7 @@ ServiceReport Service::run() {
   auto* m_latency = obs::histogram_handle(metrics_, "svc.latency.ps", 0);
   auto* m_fill = obs::histogram_handle(metrics_, "svc.batch.fill", 0);
   // Flight-recorder / time-series handles are null-safe: when disabled the
-  // helpers are no-ops and the serve loop is untouched (rule R006).
+  // helpers are no-ops and the serve loop is untouched (rule R005).
   obs::FlightRecorder* fr = flightrec_.get();
   obs::TimeSeries* ts = timeseries_.get();
 
@@ -258,7 +258,7 @@ ServiceReport Service::run() {
                                 ReplicaHealth::kDegraded);
       ++stats.degraded_episodes;
       obs::add_count(metrics_, "svc.shard.degraded", rid, 1);
-      obs::fr_record(fr, rid, tilesim::FlightKind::kSvcDegraded,
+      obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcDegraded,
                      "svc_degrade", now, -1, 0,
                      static_cast<int>(tshmem::Errc::kShardDegraded));
       obs::ts_add(ts, "svc.degraded", now);
@@ -274,14 +274,14 @@ ServiceReport Service::run() {
       ++stats.recoveries;
       stats.last_recovery_ps = now;
       obs::add_count(metrics_, "svc.shard.recovered", rid, 1);
-      obs::fr_record(fr, rid, tilesim::FlightKind::kSvcRecovered,
+      obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcRecovered,
                      "svc_recover", now);
       obs::ts_add(ts, "svc.recovered", now);
       if (replica_of(rid) == 0 && replicas > 1) {
         // The primary is back: the ReplicaSet prefers it again.
         ++rep.failbacks;
         obs::add_count(metrics_, "svc.failover.failbacks", rid, 1);
-        obs::fr_record(fr, rid, tilesim::FlightKind::kSvcFailback,
+        obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcFailback,
                        "svc_failback", now);
         obs::ts_add(ts, "svc.failback", now);
       }
@@ -310,7 +310,7 @@ ServiceReport Service::run() {
     rep.max_latency_ps = std::max(rep.max_latency_ps, latency);
     ++rep.completed;
     m_completed->add(1);
-    obs::fr_record(fr, rid, tilesim::FlightKind::kSvcComplete,
+    obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcComplete,
                    "svc_complete", now, -1, 1);
     obs::ts_add(ts, "svc.completed", now);
     obs::ts_sample(ts, "svc.latency.ps", now, latency);
@@ -328,7 +328,7 @@ ServiceReport Service::run() {
       ++rep.replica_lost;
       obs::add_count(metrics_, "svc.replica.lost", 0, 1);
     }
-    obs::fr_record(fr, rid, tilesim::FlightKind::kSvcShed, "svc_shed", now,
+    obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcShed, "svc_shed", now,
                    -1, 1, static_cast<int>(errc));
     obs::ts_add(ts, "svc.shed", now);
     if (rep.shed_error.empty()) {
@@ -367,7 +367,7 @@ ServiceReport Service::run() {
     if (codel) ++rep.codel_dropped;
     m_deadline->add(1);
     if (codel) obs::add_count(metrics_, "svc.codel.drop", rid, 1);
-    obs::fr_record(fr, rid, tilesim::FlightKind::kSvcDeadlineDrop,
+    obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcDeadlineDrop,
                    codel ? "svc_codel_drop" : "svc_deadline_drop", now, -1,
                    1, static_cast<int>(tshmem::Errc::kDeadlineExceeded));
     obs::ts_add(ts, "svc.deadline_drop", now);
@@ -424,7 +424,7 @@ ServiceReport Service::run() {
     ++rep.requeued;
     ++rep.shard_stats[static_cast<std::size_t>(from_rid)].requeued;
     obs::add_count(metrics_, "svc.failover.requeued", from_rid, 1);
-    obs::fr_record(fr, from_rid, tilesim::FlightKind::kSvcFailover,
+    obs::fr_record(fr, from_rid, tilesim::ProbeKind::kSvcFailover,
                    "svc_requeue", now, to_rid, 1);
     obs::ts_add(ts, "svc.failover", now);
     enqueue(to_rid, q, now);
@@ -442,7 +442,7 @@ ServiceReport Service::run() {
     ++stats.crashes;
     ++rep.replica_crashes;
     obs::add_count(metrics_, "svc.replica.crashed", rid, 1);
-    obs::fr_record(fr, rid, tilesim::FlightKind::kSvcCrash, "svc_crash",
+    obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcCrash, "svc_crash",
                    now, -1, 0,
                    static_cast<int>(tshmem::Errc::kReplicaLost));
     obs::ts_add(ts, "svc.crash", now);
@@ -504,7 +504,7 @@ ServiceReport Service::run() {
     obs::add_count(metrics_, "svc.shard.batches", rid, 1);
     obs::add_count(metrics_, "svc.shard.queries", rid, s.running.size());
     m_fill->record(s.running.size());
-    obs::fr_record(fr, rid, tilesim::FlightKind::kSvcBatch, "svc_batch",
+    obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcBatch, "svc_batch",
                    now, -1, s.running.size());
     push(Event{s.busy_until, 0, Event::Kind::kBatchDone, rid, 0, {}});
   };
@@ -534,7 +534,7 @@ ServiceReport Service::run() {
         ++rep.offered;
         m_offered->add(1);
         const int home = router.home_shard(a.key);
-        obs::fr_record(fr, home, tilesim::FlightKind::kSvcArrival,
+        obs::fr_record(fr, home, tilesim::ProbeKind::kSvcArrival,
                        "svc_arrival", now, -1, 1);
         obs::ts_add(ts, "svc.offered", now);
         // Open loop: keep the arrival stream going regardless of outcome.
@@ -551,7 +551,7 @@ ServiceReport Service::run() {
               static_cast<std::uint64_t>(cfg_.cache_hit_ps));
           ++rep.completed;
           m_completed->add(1);
-          obs::fr_record(fr, home, tilesim::FlightKind::kSvcComplete,
+          obs::fr_record(fr, home, tilesim::ProbeKind::kSvcComplete,
                          "svc_cache_hit", done, -1, 1);
           obs::ts_add(ts, "svc.completed", done);
           obs::ts_sample(ts, "svc.latency.ps", done,
@@ -572,7 +572,7 @@ ServiceReport Service::run() {
         if (route.failover) {
           ++rep.failover_routed;
           obs::add_count(metrics_, "svc.failover.routed", rid, 1);
-          obs::fr_record(fr, rid, tilesim::FlightKind::kSvcFailover,
+          obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcFailover,
                          "svc_failover_route", now, route.shard, 1);
           obs::ts_add(ts, "svc.failover", now);
         }
@@ -612,13 +612,13 @@ ServiceReport Service::run() {
         ++stats.recoveries;
         stats.last_recovery_ps = now;
         obs::add_count(metrics_, "svc.replica.recovered", e.rid, 1);
-        obs::fr_record(fr, e.rid, tilesim::FlightKind::kSvcRecovered,
+        obs::fr_record(fr, e.rid, tilesim::ProbeKind::kSvcRecovered,
                        "svc_flap_recover", now);
         obs::ts_add(ts, "svc.recovered", now);
         if (replica_of(e.rid) == 0 && replicas > 1) {
           ++rep.failbacks;
           obs::add_count(metrics_, "svc.failover.failbacks", e.rid, 1);
-          obs::fr_record(fr, e.rid, tilesim::FlightKind::kSvcFailback,
+          obs::fr_record(fr, e.rid, tilesim::ProbeKind::kSvcFailback,
                          "svc_failback", now);
           obs::ts_add(ts, "svc.failback", now);
         }

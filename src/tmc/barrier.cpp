@@ -4,8 +4,7 @@
 #include <stdexcept>
 
 #include "sim/guarded_wait.hpp"
-#include "sim/profile_hook.hpp"
-#include "sim/sync_observer.hpp"
+#include "sim/probe.hpp"
 
 namespace tmc {
 
@@ -26,12 +25,6 @@ std::uint64_t VtBarrier::waits() const {
 
 void VtBarrier::wait(Tile& self) {
   const ps_t arrival = self.clock().now();
-  // Rendezvous observer (tshmem-check): arrivals are reported under the
-  // barrier lock — every arrive completes before any release — so the
-  // detector's all-join is deterministic. Purely observational; never
-  // touches a SimClock.
-  tilesim::SyncObserver* observer =
-      device_ != nullptr ? device_->sync_observer() : nullptr;
   std::unique_lock lk(mu_);
   ++waits_;
   // Track which tile produced max_arrival_ so the profiler's release edge
@@ -43,8 +36,11 @@ void VtBarrier::wait(Tile& self) {
     max_arrival_tile_ = self.id();
   }
   const std::uint64_t my_generation = generation_;
-  if (observer != nullptr) {
-    observer->on_rendezvous_arrive(this, my_generation, self.id());
+  // Arrivals are reported under the barrier lock — every arrive completes
+  // before any release — so tshmem-check's all-join is deterministic.
+  if (device_ != nullptr) {
+    tilesim::probe_rendezvous_arrive(*device_, this, my_generation,
+                                     self.id());
   }
   if (++arrived_ == parties_) {
     release_time_ = release_fn_(max_arrival_, parties_);
@@ -56,13 +52,13 @@ void VtBarrier::wait(Tile& self) {
     const int release_src = release_src_;
     lk.unlock();
     cv_.notify_all();
-    if (observer != nullptr) {
-      observer->on_rendezvous_release(this, my_generation, self.id(),
-                                      parties_);
+    if (device_ != nullptr) {
+      tilesim::probe_rendezvous_release(*device_, this, my_generation,
+                                        self.id(), parties_);
     }
     self.clock().advance_to(release_time_);
-    tilesim::prof_wait_edge(self, release_src, tilesim::ProfPhase::kBarrier,
-                            "tmc_barrier", arrival, self.clock().now());
+    tilesim::probe_wait_edge(self, release_src, tilesim::ProbeKind::kBarrier,
+                             "tmc_barrier", arrival, self.clock().now());
     return;
   }
   tilesim::guarded_wait(device_, lk, cv_, self.id(), "barrier wait",
@@ -70,13 +66,13 @@ void VtBarrier::wait(Tile& self) {
   const ps_t release = release_time_;
   const int release_src = release_src_;
   lk.unlock();
-  if (observer != nullptr) {
-    observer->on_rendezvous_release(this, my_generation, self.id(),
-                                    parties_);
+  if (device_ != nullptr) {
+    tilesim::probe_rendezvous_release(*device_, this, my_generation,
+                                      self.id(), parties_);
   }
   self.clock().advance_to(release);
-  tilesim::prof_wait_edge(self, release_src, tilesim::ProfPhase::kBarrier,
-                          "tmc_barrier", arrival, self.clock().now());
+  tilesim::probe_wait_edge(self, release_src, tilesim::ProbeKind::kBarrier,
+                           "tmc_barrier", arrival, self.clock().now());
 }
 
 SpinBarrier::SpinBarrier(Device& device, int parties)

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "sim/fault.hpp"
-#include "sim/profile_hook.hpp"
+#include "sim/probe.hpp"
 
 namespace tmc {
 
@@ -68,8 +68,9 @@ void InterruptController::raise(Tile& requester, int target_tile,
     ++state.serviced;
   }
   // The requester learns of completion (an acknowledgment over the UDN).
-  tilesim::prof_wait_edge(requester, target_tile, tilesim::ProfPhase::kDma,
-                          "interrupt", raise_time, completion);
+  tilesim::probe_wait_edge(requester, target_tile,
+                           tilesim::ProbeKind::kInterrupt, "interrupt",
+                           raise_time, completion);
   requester.clock().advance_to(completion);
 }
 

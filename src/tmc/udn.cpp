@@ -4,9 +4,8 @@
 #include <string>
 
 #include "sim/fault.hpp"
-#include "sim/flight_hook.hpp"
 #include "sim/guarded_wait.hpp"
-#include "sim/profile_hook.hpp"
+#include "sim/probe.hpp"
 #include "sim/topology.hpp"
 #include "util/error.hpp"
 
@@ -165,10 +164,10 @@ void UdnFabric::send(Tile& sender, int dst_tile, int queue,
         break;
       }
       if (attempt >= plan.udn_max_retries) {
-        tilesim::flight_event(
-            *device_, sender.id(), tilesim::FlightKind::kError, "udn_send",
-            sender.clock().now(), dst_tile, 0,
-            static_cast<int>(tshmem::Errc::kRetriesExhausted));
+        tilesim::probe_event(
+            sender,
+            {tilesim::ProbeKind::kError, "udn_send", sender.clock().now(),
+             dst_tile, 0, static_cast<int>(tshmem::Errc::kRetriesExhausted)});
         throw tshmem::Error(
             tshmem::Errc::kRetriesExhausted,
             "UDN send from PE " + std::to_string(sender.id()) + " to PE " +
@@ -182,10 +181,9 @@ void UdnFabric::send(Tile& sender, int dst_tile, int queue,
       traffic.retries.fetch_add(1, std::memory_order_relaxed);
       traffic.backoff_ps.fetch_add(static_cast<std::uint64_t>(backoff),
                                    std::memory_order_relaxed);
-      tilesim::flight_event(*device_, sender.id(),
-                            tilesim::FlightKind::kFaultRetry, "udn_retry",
-                            sender.clock().now(), dst_tile,
-                            static_cast<std::uint64_t>(backoff));
+      tilesim::probe_event(sender, {tilesim::ProbeKind::kFaultRetry,
+                                    "udn_retry", sender.clock().now(), dst_tile,
+                                    static_cast<std::uint64_t>(backoff)});
       ++attempt;
     }
   }
@@ -212,9 +210,9 @@ void UdnFabric::send(Tile& sender, int dst_tile, int queue,
   // the arrival timestamp.
   sender.clock().advance(static_cast<ps_t>(words.size()) * cfg.cycle_ps());
   count_traffic(sender.id(), dst_tile, words.size());
-  tilesim::flight_event(*device_, sender.id(), tilesim::FlightKind::kUdnSend,
-                        "udn_send", sender.clock().now(), dst_tile,
-                        words.size() * sizeof(std::uint64_t));
+  tilesim::probe_event(sender, {tilesim::ProbeKind::kUdnSend, "udn_send",
+                                sender.clock().now(), dst_tile,
+                                words.size() * sizeof(std::uint64_t)});
 }
 
 void UdnFabric::send1(Tile& sender, int dst_tile, int queue,
@@ -243,7 +241,6 @@ UdnPacket UdnFabric::recv(Tile& receiver, int queue) {
   check_queue_args(receiver.id(), queue);
   Queue& q = queue_at(receiver.id(), queue);
   UdnPacket pkt;
-  const tilesim::ps_t wait_begin = receiver.clock().now();
   {
     std::unique_lock lk(q.mu);
     guarded_wait(*device_, lk, q.cv_data, receiver.id(), "udn recv",
@@ -254,23 +251,17 @@ UdnPacket UdnFabric::recv(Tile& receiver, int queue) {
   }
   q.cv_space.notify_all();
   verify_checksum(pkt, receiver.id());
-  tilesim::prof_wait_edge(receiver, pkt.src_tile, tilesim::ProfPhase::kUdn,
-                          "udn_recv", receiver.clock().now(), pkt.arrival_ps);
+  tilesim::probe_wait_edge(receiver, pkt.src_tile,
+                           tilesim::ProbeKind::kUdnRecv, "udn_recv",
+                           receiver.clock().now(), pkt.arrival_ps);
   receiver.clock().advance_to(pkt.arrival_ps);
   receiver.clock().advance(device_->config().udn_rx_overhead_ps);
-  if (tilesim::TraceRecorder* tracer = device_->tracer(); tracer != nullptr) {
-    tracer->record(receiver.id(), tilesim::TraceKind::kMessage, wait_begin,
-                   receiver.clock().now(),
-                   "udn q" + std::to_string(queue) + " from " +
-                       std::to_string(pkt.src_tile));
-  }
   // recv_raw/try_recv are deliberately NOT reported: tag-matched consumers
   // (recv_ctrl) pull packets in host-arrival order before matching, so only
   // the clock-advancing receive here is program-order deterministic.
-  tilesim::flight_event(*device_, receiver.id(),
-                        tilesim::FlightKind::kUdnRecv, "udn_recv",
-                        receiver.clock().now(), pkt.src_tile,
-                        pkt.payload.size() * sizeof(std::uint64_t));
+  tilesim::probe_event(receiver, {tilesim::ProbeKind::kUdnRecv, "udn_recv",
+                                  receiver.clock().now(), pkt.src_tile,
+                                  pkt.payload.size() * sizeof(std::uint64_t)});
   return pkt;
 }
 
@@ -304,8 +295,9 @@ std::optional<UdnPacket> UdnFabric::try_recv(Tile& receiver, int queue) {
   }
   q.cv_space.notify_all();
   verify_checksum(pkt, receiver.id());
-  tilesim::prof_wait_edge(receiver, pkt.src_tile, tilesim::ProfPhase::kUdn,
-                          "udn_recv", receiver.clock().now(), pkt.arrival_ps);
+  tilesim::probe_wait_edge(receiver, pkt.src_tile,
+                           tilesim::ProbeKind::kUdnRecv, "udn_recv",
+                           receiver.clock().now(), pkt.arrival_ps);
   receiver.clock().advance_to(pkt.arrival_ps);
   receiver.clock().advance(device_->config().udn_rx_overhead_ps);
   return pkt;

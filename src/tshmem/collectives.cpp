@@ -7,7 +7,6 @@
 #include <cstring>
 #include <vector>
 
-#include "sim/flight_hook.hpp"
 #include "tshmem/context.hpp"
 
 namespace tshmem {
@@ -45,13 +44,11 @@ void Context::broadcast(void* target, const void* source, std::size_t bytes,
   obs::ScopedVtTimer vt_metric(tile_->clock(),
                                met_ ? met_->collective_wait_ps : nullptr,
                                met_ ? met_->broadcast_calls : nullptr);
-  tilesim::ProfSpan prof(*tile_, tilesim::ProfPhase::kCollective,
-                         "shmem_broadcast");
+  const tilesim::ProbeSpan probe(*tile_, tilesim::ProbeKind::kBroadcast,
+                                "shmem_broadcast");
   if (met_) met_->broadcast_bytes->add(bytes);
   tile_->clock().advance(rt_->config().shmem_call_overhead_ps);
-  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kBroadcast,
-                        "shmem_broadcast", tile_->clock().now(),
-                        as.pe_at(root_index), bytes);
+  probe.event(tile_->clock().now(), as.pe_at(root_index), bytes);
   const std::uint32_t seq = next_collective_seq(as);
   if (as.pe_size == 1) return;
   switch (algo) {
@@ -188,17 +185,15 @@ void Context::collect_engine(void* target, const void* source,
   obs::ScopedVtTimer vt_metric(tile_->clock(),
                                met_ ? met_->collective_wait_ps : nullptr,
                                met_ ? met_->collect_calls : nullptr);
-  tilesim::ProfSpan prof(*tile_, tilesim::ProfPhase::kCollective,
-                         "shmem_collect");
+  const tilesim::ProbeSpan probe(*tile_, tilesim::ProbeKind::kCollect,
+                                "shmem_collect");
   if (met_) met_->collect_bytes->add(my_bytes);
   tile_->clock().advance(rt_->config().shmem_call_overhead_ps);
   const std::uint32_t seq = next_collective_seq(as);
   const int n = as.pe_size;
   const int idx = as.index_of(pe_);
   const int root = as.pe_at(0);
-  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kCollect,
-                        "shmem_collect", tile_->clock().now(), root,
-                        my_bytes);
+  probe.event(tile_->clock().now(), root, my_bytes);
 
   if (n == 1) {
     charge_local_copy(my_bytes, tilesim::MemSpace::kShared,
@@ -332,15 +327,14 @@ void Context::reduce_engine(void* target, const void* source,
   obs::ScopedVtTimer vt_metric(tile_->clock(),
                                met_ ? met_->collective_wait_ps : nullptr,
                                met_ ? met_->reduce_calls : nullptr);
-  tilesim::ProfSpan prof(*tile_, tilesim::ProfPhase::kCollective,
-                         "shmem_reduce");
+  const tilesim::ProbeSpan probe(*tile_, tilesim::ProbeKind::kReduce,
+                                "shmem_reduce");
   if (met_) met_->reduce_bytes->add(nreduce * elem_size);
   tile_->clock().advance(rt_->config().shmem_call_overhead_ps);
   const std::uint32_t seq = next_collective_seq(as);
   const int n = as.pe_size;
   const std::size_t bytes = nreduce * elem_size;
-  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kReduce,
-                        "shmem_reduce", tile_->clock().now(), -1, bytes);
+  probe.event(tile_->clock().now(), -1, bytes);
 
   auto charge_reduce_elems = [&](std::uint64_t elems) {
     if (is_fp) {

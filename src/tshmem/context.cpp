@@ -5,9 +5,8 @@
 
 #include "obs/timeseries.hpp"
 #include "sim/fault.hpp"
-#include "sim/flight_hook.hpp"
 #include "sim/mem_model.hpp"
-#include "sim/profile_hook.hpp"
+#include "sim/probe.hpp"
 #include "tmc/barrier.hpp"
 #include "util/error.hpp"
 
@@ -15,6 +14,7 @@ namespace tshmem {
 
 using tilesim::CopyRequest;
 using tilesim::MemSpace;
+using tilesim::ProbeKind;
 
 Context::Context(Runtime& rt, int pe, Tile& tile, std::byte* partition,
                  std::size_t partition_bytes, std::byte* private_arena,
@@ -134,8 +134,8 @@ void* Context::shmalloc(std::size_t bytes) {
   }
   void* p = heap_.alloc(bytes);
   note_heap_denial(p, bytes);
-  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kAlloc,
-                        "shmalloc", tile_->clock().now(), -1, bytes);
+  tilesim::probe_event(
+      *tile_, {ProbeKind::kAlloc, "shmalloc", tile_->clock().now(), -1, bytes});
   barrier_all();
   return p;
 }
@@ -178,8 +178,8 @@ void Context::shfree(void* p) {
     throw Error(Errc::kForeignFree,
                 "shfree on PE " + std::to_string(pe_) + ": " + e.what());
   }
-  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kFree,
-                        "shfree", tile_->clock().now());
+  tilesim::probe_event(*tile_,
+                       {ProbeKind::kFree, "shfree", tile_->clock().now()});
   barrier_all();
 }
 
@@ -301,8 +301,9 @@ void Context::transfer(void* target, const void* source, std::size_t bytes,
       tile_->clock(),
       met_ ? (is_put ? met_->put_latency_ps : met_->get_latency_ps)
            : nullptr);
-  tilesim::ProfSpan prof(*tile_, tilesim::ProfPhase::kDma,
-                         is_put ? "shmem_put" : "shmem_get");
+  const tilesim::ProbeSpan probe(
+      *tile_, is_put ? ProbeKind::kPut : ProbeKind::kGet,
+      is_put ? "shmem_put" : "shmem_get");
   if (met_) {
     (is_put ? met_->put_calls : met_->get_calls)->inc();
     (is_put ? met_->put_bytes : met_->get_bytes)->add(bytes);
@@ -310,11 +311,7 @@ void Context::transfer(void* target, const void* source, std::size_t bytes,
   tile_->clock().advance(rt_->config().shmem_call_overhead_ps);
   // One event per call at issue time, regardless of which servicing path
   // (local copy / interrupt / bounce) the transfer takes below.
-  tilesim::flight_event(tile_->device(), pe_,
-                        is_put ? tilesim::FlightKind::kPut
-                               : tilesim::FlightKind::kGet,
-                        is_put ? "shmem_put" : "shmem_get",
-                        tile_->clock().now(), pe, bytes);
+  probe.event(tile_->clock().now(), pe, bytes);
   if (bytes == 0) return;
 
   // `target` is the destination *on PE pe* for puts / locally for gets;
@@ -490,8 +487,9 @@ void Context::transfer_nbi(void* target, const void* source,
     transfer(target, source, bytes, pe, is_put, {});
     return;
   }
-  tilesim::ProfSpan prof(*tile_, tilesim::ProfPhase::kDma,
-                         is_put ? "shmem_put_nbi" : "shmem_get_nbi");
+  const tilesim::ProbeSpan probe(
+      *tile_, is_put ? ProbeKind::kPutNbi : ProbeKind::kGetNbi,
+      is_put ? "shmem_put_nbi" : "shmem_get_nbi");
   const AddrClass local_cls = classify(is_put ? source : target);
   tile_->clock().advance(rt_->config().shmem_call_overhead_ps +
                          rt_->config().dma_issue_ps);
@@ -524,6 +522,9 @@ void Context::transfer_nbi(void* target, const void* source,
       fault != nullptr ? fault->dma_stall(pe_, tile_->clock().now()) : 0;
   const tilesim::DmaDescriptor d = tile_->dma().issue(
       pe, is_put, bytes, tile_->clock().now(), cost, stall_ps);
+  tilesim::probe_event(*tile_, {ProbeKind::kDmaIssue,
+                                is_put ? "dma_put" : "dma_get", d.issue_ps, pe,
+                                bytes, 0, d.start_ps, d.complete_ps});
   // The host-side copy happens eagerly; virtual time defers delivery to the
   // descriptor's completion timestamp (the same host-eager/virtual-deferred
   // split every blocking path already relies on). The DMA engine bypasses
@@ -537,23 +538,13 @@ void Context::transfer_nbi(void* target, const void* source,
                         is_put ? "shmem_put_nbi" : "shmem_get_nbi",
                         d.start_ps, d.complete_ps);
   }
-  if (tilesim::TraceRecorder* tracer = tile_->device().tracer();
-      tracer != nullptr) {
-    tracer->record(pe_, tilesim::TraceKind::kCopy, d.start_ps, d.complete_ps,
-                   std::string("dma ") + (is_put ? "put" : "get") + " pe" +
-                       std::to_string(pe));
-  }
   if (met_) {
     met_->nbi_issued->inc();
     met_->nbi_bytes->add(bytes);
     met_->nbi_queue_depth->set(
         static_cast<std::int64_t>(tile_->dma().pending()));
   }
-  tilesim::flight_event(tile_->device(), pe_,
-                        is_put ? tilesim::FlightKind::kPutNbi
-                               : tilesim::FlightKind::kGetNbi,
-                        is_put ? "shmem_put_nbi" : "shmem_get_nbi",
-                        tile_->clock().now(), pe, bytes);
+  probe.event(tile_->clock().now(), pe, bytes);
 }
 
 void Context::put_nbi(void* target, const void* source, std::size_t bytes,
@@ -572,16 +563,20 @@ void Context::get_nbi(void* target, const void* source, std::size_t bytes,
 
 void Context::quiet() {
   rt_->note_op(pe_, "shmem_quiet");
-  tilesim::ProfSpan prof(*tile_, tilesim::ProfPhase::kDma, "shmem_quiet");
+  const tilesim::ProbeSpan probe(*tile_, ProbeKind::kQuiet, "shmem_quiet");
   tilesim::DmaEngine& dma = tile_->dma();
   if (dma.pending() != 0) {
     const ps_t before = tile_->clock().now();
     const tilesim::DmaEngine::DrainResult drained = dma.drain_all();
+    // `bytes` carries the retired-descriptor count.
+    tilesim::probe_event(*tile_, {ProbeKind::kDmaDrain, "dma_drain",
+                                  drained.max_complete_ps, -1,
+                                  drained.retired});
     tile_->clock().advance_to(drained.max_complete_ps);
     // The engine is this PE's own DMA pseudo-actor, so the wait edge points
     // at ourselves: the bound is our earlier issue stream, not another PE.
-    tilesim::prof_wait_edge(*tile_, pe_, tilesim::ProfPhase::kDma,
-                            "dma_drain", before, drained.max_complete_ps);
+    tilesim::probe_wait_edge(*tile_, pe_, ProbeKind::kDmaDrain,
+                             "dma_drain", before, drained.max_complete_ps);
     if (met_) {
       met_->nbi_retired->add(drained.retired);
       met_->nbi_queue_depth->set(0);
@@ -603,12 +598,11 @@ void Context::quiet() {
   // bit-identical with the paper's figures.
   tmc::mem_fence(*tile_);
   if (race_ != nullptr) race_->on_quiet(pe_);
-  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kQuiet,
-                        "shmem_quiet", tile_->clock().now());
+  probe.event(tile_->clock().now());
 }
 
 void Context::fence() {
-  tilesim::ProfSpan prof(*tile_, tilesim::ProfPhase::kDma, "shmem_fence");
+  const tilesim::ProbeSpan probe(*tile_, ProbeKind::kFence, "shmem_fence");
   if (tile_->dma().pending() == 0) {
     // §IV-C2: with nothing in flight shmem_fence() stays an alias of
     // shmem_quiet(), keeping existing figure results bit-identical.
@@ -620,8 +614,7 @@ void Context::fence() {
   // A fence therefore drains the CPU store buffer but NOT the engine — the
   // clock never jumps to a completion timestamp here.
   tmc::mem_fence(*tile_);
-  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kFence,
-                        "shmem_fence", tile_->clock().now());
+  probe.event(tile_->clock().now());
 }
 
 // ===========================================================================
@@ -634,9 +627,8 @@ void Context::send_ctrl(int dst_pe, int queue, const CtrlMsg& msg) {
   }
   const std::uint64_t words[2] = {msg.word0(), msg.aux};
   rt_->udn().send(*tile_, dst_pe, queue, words);
-  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kCtrlSend,
-                        "ctrl_send", tile_->clock().now(), dst_pe,
-                        sizeof(words));
+  tilesim::probe_event(*tile_, {ProbeKind::kCtrlSend, "ctrl_send",
+                                tile_->clock().now(), dst_pe, sizeof(words)});
 }
 
 CtrlMsg Context::recv_ctrl(int queue, MsgTag tag, int src_pe,
@@ -656,19 +648,12 @@ CtrlMsg Context::recv_ctrl(int queue, MsgTag tag, int src_pe,
     // No span here on purpose: the wait time must attribute to whatever
     // enclosing phase (barrier/collective) issued the receive; the edge
     // records which PE's send bounded us.
-    tilesim::prof_wait_edge(*tile_, src, tilesim::ProfPhase::kUdn, "ctrl",
-                            wait_begin, arrival);
-    if (tilesim::TraceRecorder* tracer = tile_->device().tracer();
-        tracer != nullptr) {
-      tracer->record(pe_, tilesim::TraceKind::kMessage, wait_begin,
-                     tile_->clock().now(),
-                     "ctrl q" + std::to_string(queue) + " from " +
-                         std::to_string(src));
-    }
+    tilesim::probe_wait_edge(*tile_, src, ProbeKind::kCtrlRecv,
+                             "ctrl", wait_begin, arrival);
     // Recorded on *match*, not packet arrival: the tag+FIFO discipline makes
     // this edge protocol-determined even when arrivals race.
-    tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kCtrlRecv,
-                          "ctrl_recv", tile_->clock().now(), src);
+    tilesim::probe_event(
+        *tile_, {ProbeKind::kCtrlRecv, "ctrl_recv", tile_->clock().now(), src});
   };
   auto& stash = ctrl_stash_[queue];
   for (std::size_t i = 0; i < stash.size(); ++i) {
@@ -722,8 +707,7 @@ void Context::barrier(const ActiveSet& as, BarrierAlgo algo) {
   obs::ScopedVtTimer vt_metric(tile_->clock(),
                                met_ ? met_->barrier_wait_ps : nullptr,
                                met_ ? met_->barrier_calls : nullptr);
-  tilesim::ProfSpan prof(*tile_, tilesim::ProfPhase::kBarrier,
-                         "shmem_barrier");
+  const tilesim::ProbeSpan probe(*tile_, ProbeKind::kBarrier, "shmem_barrier");
   const ps_t bar_begin = tile_->clock().now();
   // A barrier also completes outstanding puts (OpenSHMEM semantics).
   quiet();
@@ -743,9 +727,7 @@ void Context::barrier(const ActiveSet& as, BarrierAlgo algo) {
   }
   // bytes carries the barrier's virtual duration (arrival skew + release).
   const ps_t bar_end = tile_->clock().now();
-  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kBarrier,
-                        "shmem_barrier", bar_end, -1,
-                        static_cast<std::uint64_t>(bar_end - bar_begin));
+  probe.event(bar_end, -1, static_cast<std::uint64_t>(bar_end - bar_begin));
   obs::ts_sample(ts_, "shmem.barrier.ps", bar_end,
                  static_cast<std::uint64_t>(bar_end - bar_begin));
 }
@@ -887,7 +869,7 @@ void Context::atomic_engine(void* target, int pe, std::size_t bytes,
     throw std::invalid_argument("atomic: target is not a symmetric object");
   }
   if (met_) met_->atomic_calls->inc();
-  tilesim::ProfSpan prof(*tile_, tilesim::ProfPhase::kLock, site);
+  const tilesim::ProbeSpan probe(*tile_, ProbeKind::kAtomic, site);
   charge_atomic(pe);
   if (race_ != nullptr) {
     // Acquire-check-release on the target granule; even a failed CAS
@@ -895,8 +877,7 @@ void Context::atomic_engine(void* target, int pe, std::size_t bytes,
     race_->on_atomic(pe_, remote_addr(target, pe), bytes, site,
                      tile_->clock().now());
   }
-  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kAtomic,
-                        site, tile_->clock().now(), pe, bytes);
+  probe.event(tile_->clock().now(), pe, bytes);
   if (cls == AddrClass::kDynamic || pe == pe_) {
     if (pe != pe_) rt_->note_delivery(pe, tile_->clock().now());
     op(remote_addr(target, pe));
@@ -939,10 +920,10 @@ void Context::set_lock(long* lock) {
   });
   // Close the guarded spin's kWaitBegin: the acquiring CAS's timestamp is
   // the deterministic end of the lock wait.
-  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kWaitEnd,
-                        "shmem_set_lock", tile_->clock().now());
-  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kLock,
-                        "shmem_set_lock", tile_->clock().now(), 0);
+  tilesim::probe_event(
+      *tile_, {ProbeKind::kWaitEnd, "shmem_set_lock", tile_->clock().now()});
+  tilesim::probe_event(
+      *tile_, {ProbeKind::kLock, "shmem_set_lock", tile_->clock().now(), 0});
   rt_->note_lock_delta(pe_, +1);
 }
 
@@ -958,8 +939,8 @@ void Context::clear_lock(long* lock) {
     }
     ref.store(0, std::memory_order_release);
   });
-  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kLock,
-                        "shmem_clear_lock", tile_->clock().now(), 0);
+  tilesim::probe_event(
+      *tile_, {ProbeKind::kLock, "shmem_clear_lock", tile_->clock().now(), 0});
   rt_->note_lock_delta(pe_, -1);
 }
 
@@ -974,8 +955,8 @@ int Context::test_lock(long* lock) {
       prev = expected;
     }
   });
-  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kLock,
-                        "shmem_test_lock", tile_->clock().now(), 0);
+  tilesim::probe_event(
+      *tile_, {ProbeKind::kLock, "shmem_test_lock", tile_->clock().now(), 0});
   if (prev == 0) rt_->note_lock_delta(pe_, +1);
   return prev == 0 ? 0 : 1;
 }

@@ -20,9 +20,8 @@
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "sim/clock.hpp"
-#include "sim/flight_hook.hpp"
 #include "sim/guarded_wait.hpp"
-#include "sim/profile_hook.hpp"
+#include "sim/probe.hpp"
 #include "tshmem/messages.hpp"
 #include "tshmem/runtime.hpp"
 #include "tshmem/symheap.hpp"
@@ -426,8 +425,10 @@ void Context::wait_until(volatile T* ivar, Cmp cmp, T value) {
   rt_->note_op(pe_, "shmem_wait_until");
   obs::ScopedVtTimer vt_metric(clock(), met_ ? met_->wait_ps : nullptr,
                                met_ ? met_->wait_calls : nullptr);
-  tilesim::ProfSpan prof_span(*tile_, tilesim::ProfPhase::kWait,
-                              "shmem_wait_until");
+  // The op is reported as the kWaitEnd that closes the guarded spin's
+  // kWaitBegin below.
+  const tilesim::ProbeSpan probe(*tile_, tilesim::ProbeKind::kWaitEnd,
+                                "shmem_wait_until");
   // Point-to-point sync: poll the symmetric variable. Remote elemental puts
   // store atomically (see do_memcpy_visible), so an atomic load here pairs
   // with them. Virtual time: on success the clock advances to the latest
@@ -443,15 +444,13 @@ void Context::wait_until(volatile T* ivar, Cmp cmp, T value) {
     clock().advance_to(delivered);
     // The delivering PE is not identifiable from the timestamp slot alone,
     // so the edge's producer is unknown (-1).
-    tilesim::prof_wait_edge(*tile_, -1, tilesim::ProfPhase::kWait,
-                            "delivery", wait_from, delivered);
+    tilesim::probe_wait_edge(*tile_, -1, tilesim::ProbeKind::kWaitEnd,
+                             "delivery", wait_from, delivered);
   }
   clock().advance(rt_->config().shmem_call_overhead_ps);
-  // Closes the kWaitBegin the guarded spin recorded: the spin's attempt
-  // count is host-schedule dependent, so only this post-merge timestamp is
-  // deterministic.
-  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kWaitEnd,
-                        "shmem_wait_until", clock().now());
+  // The spin's attempt count is host-schedule dependent, so only this
+  // post-merge timestamp is deterministic.
+  probe.event(clock().now());
   if (race_ != nullptr) {
     // The satisfied wait acquires the release clock the elemental put
     // published on this granule, then counts as an ordered read of it.

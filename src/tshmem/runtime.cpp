@@ -12,7 +12,7 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "sim/flight_hook.hpp"
+#include "sim/probe.hpp"
 #include "tshmem/context.hpp"
 #include "util/error.hpp"
 
@@ -160,7 +160,7 @@ Runtime::Runtime(const DeviceConfig& cfg, RuntimeOptions opts)
   profile_enabled_ = bool_env("TSHMEM_PROFILE", opts.profile);
   if (profile_enabled_) {
     profiler_ = std::make_unique<obs::Profiler>(device_);
-    device_.attach_profiler(profiler_.get());
+    device_.attach_probe(profiler_.get());
   }
 
   // Flight recorder / time series (docs/OBSERVABILITY.md). A window width
@@ -183,7 +183,7 @@ Runtime::Runtime(const DeviceConfig& cfg, RuntimeOptions opts)
       timeseries_ = std::make_unique<obs::TimeSeries>(timeseries_window_ps_);
       flightrec_->set_tap(timeseries_.get());
     }
-    device_.attach_flight(flightrec_.get());
+    device_.attach_probe(flightrec_.get());
   }
 
   debug_validation_ = bool_env("TSHMEM_DEBUG", opts.debug_validation);
@@ -210,9 +210,10 @@ Runtime::Runtime(const DeviceConfig& cfg, RuntimeOptions opts)
     watchdog_.on_timeout = [this, wd_ms](int tile, const char* what) {
       // Stamp the trigger into the dying PE's ring before throwing, so the
       // blackbox dump and tools/triage.py can name the stalled op directly.
-      tilesim::flight_event(device_, tile, tilesim::FlightKind::kError, what,
-                            device_.tile(tile).clock().now(), -1, 0,
-                            static_cast<int>(Errc::kWatchdogTimeout));
+      const Tile& self = device_.tile(tile);
+      tilesim::probe_event(self, {tilesim::ProbeKind::kError, what,
+                                  self.clock().now(), -1, 0,
+                                  static_cast<int>(Errc::kWatchdogTimeout)});
       throw Error(Errc::kWatchdogTimeout,
                   "PE " + std::to_string(tile) + " stuck in '" + what +
                       "' for over " + std::to_string(wd_ms) + " ms\n" +
@@ -426,7 +427,7 @@ void Runtime::setup_job(int npes) {
       race_detector_->add_region(pe, /*is_static=*/true, private_base(pe),
                                  opts_.private_per_pe);
     }
-    device_.attach_sync_observer(race_detector_.get());
+    device_.attach_probe(race_detector_.get());
     for (auto& ctx : contexts_) {
       ctx->race_ = race_detector_.get();
     }
@@ -438,12 +439,9 @@ void Runtime::setup_job(int npes) {
   }
   // Fixed for the whole job: a PE on the message path and one in the
   // rendezvous would never meet. Fault plans inject drops and delays on
-  // individual tokens, and the other consumers log or trace each one.
-  token_rendezvous_ = device_.fault() == nullptr &&
-                      device_.sync_observer() == nullptr &&
-                      device_.tracer() == nullptr &&
-                      device_.profiler() == nullptr &&
-                      device_.flight() == nullptr;
+  // individual tokens, and probes observe each one.
+  token_rendezvous_ =
+      device_.fault() == nullptr && device_.probes().empty();
 }
 
 void Runtime::teardown_job() {
@@ -454,7 +452,7 @@ void Runtime::teardown_job() {
     race_reports_.insert(race_reports_.end(),
                          std::make_move_iterator(found.begin()),
                          std::make_move_iterator(found.end()));
-    device_.attach_sync_observer(nullptr);
+    device_.detach_probe(race_detector_.get());
     race_detector_.reset();
   }
   contexts_.clear();

@@ -222,9 +222,8 @@ class Runtime {
   /// True when this job's linear token barriers run as one host rendezvous
   /// per barrier instead of 2n UDN messages. Chosen once per job in
   /// setup_job: the messages stay whenever something observes individual
-  /// tokens or can perturb them (fault engine, sync observer, tracer,
-  /// profiler or flight recorder attached to the device). Both give the
-  /// same virtual times and traffic counts.
+  /// tokens or can perturb them (a probe or the fault engine attached to
+  /// the device). Both give the same virtual times and traffic counts.
   [[nodiscard]] bool token_rendezvous() const noexcept {
     return token_rendezvous_;
   }

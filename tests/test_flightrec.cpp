@@ -13,11 +13,11 @@
 #include <vector>
 
 #include "obs/flightrec.hpp"
-#include "obs/json.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/device.hpp"
 #include "sim/fault.hpp"
-#include "sim/flight_hook.hpp"
+#include "sim/probe.hpp"
+#include "support/json.hpp"
 #include "svc/service.hpp"
 #include "tshmem/cluster.hpp"
 #include "tshmem/context.hpp"
@@ -31,7 +31,7 @@ using obs::FrEvent;
 using obs::JsonValue;
 using obs::TimeSeries;
 using obs::TimeSeriesReport;
-using tilesim::FlightKind;
+using tilesim::ProbeKind;
 using tilesim::ps_t;
 using tshmem::Context;
 
@@ -42,7 +42,8 @@ using tshmem::Context;
 TEST(FlightRecorder, RingWrapsKeepingNewest) {
   FlightRecorder fr(1, 4);
   for (int i = 0; i < 10; ++i) {
-    fr.record_event(0, FlightKind::kPut, "put", 100 * i, i % 3, 8, 0);
+    fr.on_event(0,
+                {ProbeKind::kPut, "put", static_cast<ps_t>(100 * i), i % 3, 8});
   }
   EXPECT_EQ(fr.total_recorded(0), 10u);
   const std::vector<FrEvent> snap = fr.snapshot(0);
@@ -57,9 +58,9 @@ TEST(FlightRecorder, RingWrapsKeepingNewest) {
 
 TEST(FlightRecorder, MergedOrdersByTimePeSeq) {
   FlightRecorder fr(3, 8);
-  fr.record_event(2, FlightKind::kBarrier, "bar", 500, -1, 0, 0);
-  fr.record_event(0, FlightKind::kPut, "put", 500, 1, 8, 0);
-  fr.record_event(1, FlightKind::kGet, "get", 100, 0, 8, 0);
+  fr.on_event(2, {ProbeKind::kBarrier, "bar", 500, -1, 0});
+  fr.on_event(0, {ProbeKind::kPut, "put", 500, 1, 8});
+  fr.on_event(1, {ProbeKind::kGet, "get", 100, 0, 8});
   const std::vector<FrEvent> merged = fr.merged();
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].pe, 1);  // earliest vt first
@@ -91,7 +92,7 @@ TEST(FlightRecorder, RingContentsDeterministicAcrossRuns) {
     for (const FrEvent& e : rt.flightrec()->merged()) {
       std::ostringstream os;
       os << e.vt << " " << e.pe << " " << e.seq << " "
-         << tilesim::fr_kind_name(e.kind) << " " << e.site << " " << e.peer
+         << tilesim::probe_kind_name(e.kind) << " " << e.site << " " << e.peer
          << " " << e.bytes << " " << e.errc;
       lines.push_back(os.str());
     }
@@ -110,20 +111,20 @@ TEST(FlightRecorder, RingContentsDeterministicAcrossRuns) {
 TEST(FlightRecorder, DeviceAttachedFoldsEpochAtClockReset) {
   tilesim::Device device(tilesim::tile_gx36());
   FlightRecorder fr(device, 16);
-  device.attach_flight(&fr);
+  device.attach_probe(&fr);
   device.tile(0).clock().advance(300);
   device.tile(1).clock().advance(750);  // epoch extent = max tile clock
-  tilesim::flight_event(device, 0, FlightKind::kPut, "put", 300, 1, 8, 0);
+  tilesim::probe_event(device.tile(0), {ProbeKind::kPut, "put", 300, 1, 8});
   device.reset_clocks();
   EXPECT_EQ(fr.epoch_base_ps(), 750);
   // Post-reset events arrive epoch-local and are folded onto the
   // monotone run timeline.
-  tilesim::flight_event(device, 0, FlightKind::kGet, "get", 10, 1, 8, 0);
+  tilesim::probe_event(device.tile(0), {ProbeKind::kGet, "get", 10, 1, 8});
   const std::vector<FrEvent> snap = fr.snapshot(0);
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].vt, 300);
   EXPECT_EQ(snap[1].vt, 760);
-  device.attach_flight(nullptr);
+  device.detach_probe(&fr);
 }
 
 TEST(TimeSeries, EpochFoldOffsetsLaterObservations) {
@@ -209,9 +210,9 @@ TEST(TimeSeries, RecorderTapCountsEvents) {
   TimeSeries ts(100);
   FlightRecorder fr(2, 8);
   fr.set_tap(&ts);
-  fr.record_event(0, FlightKind::kPut, "put", 10, 1, 8, 0);
-  fr.record_event(1, FlightKind::kPut, "put", 110, 0, 8, 0);
-  fr.record_event(0, FlightKind::kBarrier, "bar", 120, -1, 0, 0);
+  fr.on_event(0, {ProbeKind::kPut, "put", 10, 1, 8});
+  fr.on_event(1, {ProbeKind::kPut, "put", 110, 0, 8});
+  fr.on_event(0, {ProbeKind::kBarrier, "bar", 120, -1, 0});
   const TimeSeriesReport rep = ts.report();
   ASSERT_EQ(rep.series.size(), 2u);
   EXPECT_EQ(rep.series[0].name, "event.barrier");

@@ -12,11 +12,11 @@
 #include <vector>
 
 #include "obs/exporters.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/quantiles.hpp"
 #include "obs/scoped_timer.hpp"
 #include "sim/clock.hpp"
+#include "support/json.hpp"
 #include "tshmem/context.hpp"
 #include "tshmem/runtime.hpp"
 
@@ -262,12 +262,11 @@ TEST(Metrics, ChromeTracePerfettoSmoke) {
   // The exported document must be loadable by Perfetto/chrome://tracing:
   // an object with a "traceEvents" array of "X" complete events (us-domain
   // ts/dur, pid/tid ints) plus "M" process/thread metadata.
-  std::vector<tilesim::TraceEvent> events;
-  events.push_back({0, tilesim::TraceKind::kCompute, 0, 2'000'000, "fft row"});
-  events.push_back(
-      {1, tilesim::TraceKind::kCopy, 500'000, 1'500'000, "put \"x\""});
+  obs::TraceTrack track{0, "gx36", 36, {}};
+  track.events.push_back({0, "collective", "fft row", 0, 2'000'000});
+  track.events.push_back({1, "dma", "put \"x\"", 500'000, 1'500'000});
   std::ostringstream os;
-  obs::write_chrome_trace_json(os, events, "gx36");
+  obs::write_chrome_trace_json(os, {track});
 
   const JsonValue doc = JsonValue::parse(os.str());
   const auto& trace_events = doc.at("traceEvents").as_array();

@@ -7,17 +7,20 @@
 // perf_run.py selftest (tshmem.bench.v1 schema logic).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/exporters.hpp"
-#include "obs/json.hpp"
 #include "obs/profiler.hpp"
 #include "sim/device.hpp"
-#include "sim/profile_hook.hpp"
+#include "sim/probe.hpp"
+#include "support/json.hpp"
 #include "tshmem/context.hpp"
 #include "tshmem/runtime.hpp"
 
@@ -26,6 +29,7 @@ namespace {
 using obs::JsonValue;
 using obs::ProfileReport;
 using obs::Profiler;
+using tilesim::ProbeKind;
 using tilesim::ProfPhase;
 using tilesim::ps_t;
 
@@ -47,15 +51,15 @@ const obs::ProfileSite* find_site(const ProfileReport& r,
 }
 
 // ===========================================================================
-// Span mechanics (profiler driven directly as a ProfileSink)
+// Span mechanics (profiler driven directly as a Probe)
 // ===========================================================================
 
 TEST(Profiler, SerialSpansAttributePhases) {
   tilesim::Device device(tilesim::tile_gx36());
   Profiler prof(device);
-  prof.on_span_begin(0, ProfPhase::kDma, "put", 100);
+  prof.on_span_begin(0, ProbeKind::kPut, "put", 100);
   prof.on_span_end(0, 500);
-  prof.on_span_begin(0, ProfPhase::kBarrier, "bar", 500);
+  prof.on_span_begin(0, ProbeKind::kBarrier, "bar", 500);
   prof.on_span_end(0, 900);
 
   const ProfileReport r = prof.report();
@@ -76,8 +80,8 @@ TEST(Profiler, SerialSpansAttributePhases) {
 TEST(Profiler, NestedSpansSplitSelfAndTotal) {
   tilesim::Device device(tilesim::tile_gx36());
   Profiler prof(device);
-  prof.on_span_begin(0, ProfPhase::kBarrier, "bar", 0);
-  prof.on_span_begin(0, ProfPhase::kDma, "quiet", 100);
+  prof.on_span_begin(0, ProbeKind::kBarrier, "bar", 0);
+  prof.on_span_begin(0, ProbeKind::kQuiet, "quiet", 100);
   prof.on_span_end(0, 300);
   prof.on_span_end(0, 1000);
 
@@ -111,13 +115,13 @@ TEST(Profiler, CriticalPathSerialChainHopsThroughProducers) {
   // all 600 ps to the dma spans.
   tilesim::Device device(tilesim::tile_gx36());
   Profiler prof(device);
-  prof.on_span_begin(0, ProfPhase::kDma, "put", 0);
+  prof.on_span_begin(0, ProbeKind::kPut, "put", 0);
   prof.on_span_end(0, 100);
-  prof.on_wait_edge(1, 0, ProfPhase::kUdn, "udn_recv", 0, 100);
-  prof.on_span_begin(1, ProfPhase::kDma, "put", 100);
+  prof.on_wait_edge(1, 0, ProbeKind::kUdnRecv, "udn_recv", 0, 100);
+  prof.on_span_begin(1, ProbeKind::kPut, "put", 100);
   prof.on_span_end(1, 300);
-  prof.on_wait_edge(2, 1, ProfPhase::kUdn, "udn_recv", 0, 300);
-  prof.on_span_begin(2, ProfPhase::kDma, "put", 300);
+  prof.on_wait_edge(2, 1, ProbeKind::kUdnRecv, "udn_recv", 0, 300);
+  prof.on_span_begin(2, ProbeKind::kPut, "put", 300);
   prof.on_span_end(2, 600);
 
   const ProfileReport r = prof.report();
@@ -146,11 +150,11 @@ TEST(Profiler, CriticalPathForkJoinBarrier) {
   // PE1: its pre-barrier compute is on-path, the other arrivals are not.
   tilesim::Device device(tilesim::tile_gx36());
   Profiler prof(device);
-  prof.on_wait_edge(0, 1, ProfPhase::kBarrier, "tmc_barrier", 300, 600);
-  prof.on_span_begin(1, ProfPhase::kCompute, "work", 0);
+  prof.on_wait_edge(0, 1, ProbeKind::kBarrier, "tmc_barrier", 300, 600);
+  prof.on_span_begin(1, ProbeKind::kAlloc, "work", 0);  // a compute kind
   prof.on_span_end(1, 500);
-  prof.on_wait_edge(1, 1, ProfPhase::kBarrier, "tmc_barrier", 500, 600);
-  prof.on_wait_edge(2, 1, ProfPhase::kBarrier, "tmc_barrier", 200, 600);
+  prof.on_wait_edge(1, 1, ProbeKind::kBarrier, "tmc_barrier", 500, 600);
+  prof.on_wait_edge(2, 1, ProbeKind::kBarrier, "tmc_barrier", 200, 600);
 
   const ProfileReport r = prof.report();
   EXPECT_EQ(r.crit_epoch_vt_ps, 600u);
@@ -175,9 +179,9 @@ TEST(Profiler, CriticalPathNbiOverlapSelfEdge) {
   // until 400. The drain is a self edge — on-path, attributed to dma.
   tilesim::Device device(tilesim::tile_gx36());
   Profiler prof(device);
-  prof.on_span_begin(0, ProfPhase::kDma, "shmem_put_nbi", 0);
+  prof.on_span_begin(0, ProbeKind::kPutNbi, "shmem_put_nbi", 0);
   prof.on_span_end(0, 100);
-  prof.on_wait_edge(0, 0, ProfPhase::kDma, "dma_drain", 100, 400);
+  prof.on_wait_edge(0, 0, ProbeKind::kDmaDrain, "dma_drain", 100, 400);
 
   const ProfileReport r = prof.report();
   EXPECT_EQ(r.crit_epoch_vt_ps, 400u);
@@ -194,9 +198,9 @@ TEST(Profiler, TopKWaitEdgesTruncatesDeterministically) {
   tilesim::Device device(tilesim::tile_gx36());
   Profiler prof(device);
   prof.set_top_k(2);
-  prof.on_wait_edge(1, 0, ProfPhase::kUdn, "a", 0, 500);
-  prof.on_wait_edge(2, 0, ProfPhase::kUdn, "b", 0, 300);
-  prof.on_wait_edge(3, 0, ProfPhase::kUdn, "c", 0, 100);
+  prof.on_wait_edge(1, 0, ProbeKind::kUdnRecv, "a", 0, 500);
+  prof.on_wait_edge(2, 0, ProbeKind::kUdnRecv, "b", 0, 300);
+  prof.on_wait_edge(3, 0, ProbeKind::kUdnRecv, "c", 0, 100);
 
   const ProfileReport r = prof.report();
   ASSERT_EQ(r.top_edges.size(), 2u);
@@ -208,10 +212,10 @@ TEST(Profiler, TopKWaitEdgesTruncatesDeterministically) {
 TEST(Profiler, EpochsAccumulateAcrossClockResets) {
   tilesim::Device device(tilesim::tile_gx36());
   Profiler prof(device);
-  prof.on_span_begin(0, ProfPhase::kDma, "put", 0);
+  prof.on_span_begin(0, ProbeKind::kPut, "put", 0);
   prof.on_span_end(0, 100);
   prof.on_clock_reset();  // closes epoch 1 at vt 100
-  prof.on_span_begin(0, ProfPhase::kBarrier, "bar", 0);
+  prof.on_span_begin(0, ProbeKind::kBarrier, "bar", 0);
   prof.on_span_end(0, 50);
 
   const ProfileReport r = prof.report();
@@ -362,8 +366,8 @@ TEST(Profiler, ProfileJsonSchemaShape) {
 TEST(Profiler, FoldedExportIsFlamegraphShaped) {
   tilesim::Device device(tilesim::tile_gx36());
   Profiler prof(device);
-  prof.on_span_begin(0, ProfPhase::kBarrier, "bar", 0);
-  prof.on_span_begin(0, ProfPhase::kDma, "quiet", 100);
+  prof.on_span_begin(0, ProbeKind::kBarrier, "bar", 0);
+  prof.on_span_begin(0, ProbeKind::kQuiet, "quiet", 100);
   prof.on_span_end(0, 300);
   prof.on_span_end(0, 1000);
   std::ostringstream os;
@@ -376,11 +380,16 @@ TEST(Profiler, FoldedExportIsFlamegraphShaped) {
 TEST(Profiler, FlowEventsPairUpInTraceJson) {
   tilesim::Device device(tilesim::tile_gx36());
   Profiler prof(device);
-  prof.on_span_begin(0, ProfPhase::kDma, "put", 0);
+  device.attach_probe(&prof);
+  // A 50 ps first epoch: the critical path's epoch starts 50 ps in.
+  device.tile(0).clock().advance(50);
+  device.reset_clocks();
+  prof.on_span_begin(0, ProbeKind::kPut, "put", 0);
   prof.on_span_end(0, 100);
-  prof.on_wait_edge(1, 0, ProfPhase::kUdn, "udn_recv", 0, 100);
-  prof.on_span_begin(1, ProfPhase::kDma, "put", 100);
+  prof.on_wait_edge(1, 0, ProbeKind::kUdnRecv, "udn_recv", 0, 100);
+  prof.on_span_begin(1, ProbeKind::kPut, "put", 100);
   prof.on_span_end(1, 300);
+  device.detach_probe(&prof);
 
   const ProfileReport r = prof.report();
   const std::vector<obs::TraceFlow> flows =
@@ -388,20 +397,132 @@ TEST(Profiler, FlowEventsPairUpInTraceJson) {
   ASSERT_FALSE(flows.empty());
   EXPECT_EQ(flows[0].src_tile, 0);
   EXPECT_EQ(flows[0].dst_tile, 1);
+  EXPECT_EQ(flows[0].src_ps, 50u);
+  EXPECT_EQ(flows[0].dst_ps, 150u);
 
+  // A track with no X events still names the tracks its flows use.
   std::ostringstream os;
-  obs::write_chrome_trace_json(os, {}, flows);
+  obs::write_chrome_trace_json(os, {obs::TraceTrack{0, "gx36", 36, {}}},
+                               flows);
   const JsonValue doc = JsonValue::parse(os.str());
   bool saw_s = false;
   bool saw_f = false;
-  for (std::size_t i = 0; i < doc.at("traceEvents").size(); ++i) {
-    const std::string ph =
-        doc.at("traceEvents").at(i).at("ph").as_string();
+  std::vector<std::int64_t> named;
+  for (const JsonValue& e : doc.at("traceEvents").as_array()) {
+    const std::string& ph = e.at("ph").as_string();
     saw_s = saw_s || ph == "s";
     saw_f = saw_f || ph == "f";
+    if (ph == "M" && e.at("name").as_string() == "thread_name") {
+      named.push_back(e.at("tid").as_int());
+    }
   }
   EXPECT_TRUE(saw_s);
   EXPECT_TRUE(saw_f);
+  EXPECT_EQ(named, (std::vector<std::int64_t>{0, 1}));
+}
+
+TEST(Profiler, TraceAgreesWithProfileAcrossEpochs) {
+  // A 3-epoch job traced and profiled at once: the trace's spans must be
+  // the profile's (same calls and total per site), laid out epoch after
+  // epoch with no partial overlap on any track, and every flow arrow must
+  // end where a wait interval on its track ends.
+  constexpr int kPes = 4;
+  constexpr int kEpochs = 3;
+  tshmem::RuntimeOptions opts;
+  opts.profile = true;
+  tshmem::Runtime rt(tilesim::tile_gx36(), opts);
+  obs::TraceLog log(rt.device());
+  rt.device().attach_probe(&log);
+  std::vector<std::vector<ps_t>> epoch_end(kEpochs,
+                                           std::vector<ps_t>(kPes, 0));
+  rt.run(kPes, [&](tshmem::Context& ctx) {
+    auto* buf = static_cast<std::byte*>(ctx.shmalloc(1 << 14));
+    const int next = (ctx.my_pe() + 1) % ctx.num_pes();
+    for (int e = 0; e < kEpochs; ++e) {
+      if (e > 0) ctx.harness_sync_reset();
+      ctx.charge_int_ops(5'000 * (ctx.my_pe() + 1));
+      ctx.put(buf, buf + (1 << 13), 1024, next);
+      ctx.put_nbi(buf, buf + (1 << 13), 512, next);
+      ctx.quiet();
+      ctx.barrier_all();
+      ctx.broadcast(buf, buf + 64, 64, 0, ctx.world());
+      if (e + 1 == kEpochs) ctx.shfree(buf);
+      epoch_end[static_cast<std::size_t>(e)]
+               [static_cast<std::size_t>(ctx.my_pe())] = ctx.clock().now();
+    }
+  });
+  rt.device().detach_probe(&log);
+  const ProfileReport r = rt.profiler()->report();
+  const obs::TraceTrack track = log.track(0, "gx36");
+  const std::vector<obs::TraceFlow> flows = obs::profile_flow_events(r, 0);
+  ASSERT_EQ(r.dropped_events, 0u);
+  ASSERT_EQ(r.epochs, static_cast<std::uint64_t>(kEpochs));
+  ASSERT_FALSE(flows.empty());
+
+  std::map<std::pair<std::string, std::string>,
+           std::pair<std::uint64_t, ps_t>> spans;
+  std::map<int, std::vector<const obs::TraceEvent*>> by_tid;
+  bool saw_nbi = false;
+  for (const obs::TraceEvent& e : track.events) {
+    by_tid[e.tid].push_back(&e);
+    const std::string cat = e.cat;
+    saw_nbi = saw_nbi || cat == "nbi";
+    if (cat == "wait_edge" || cat == "nbi") continue;
+    auto& [calls, total] = spans[{cat, e.name}];
+    calls += 1;
+    total += e.end_ps - e.begin_ps;
+  }
+  EXPECT_TRUE(saw_nbi);
+  std::map<std::pair<std::string, std::string>,
+           std::pair<std::uint64_t, ps_t>> sites;
+  for (const obs::ProfileSite& s : r.sites) {
+    if (s.phase == "compute" && s.site == "compute") continue;  // residual
+    sites[{s.phase, s.site}] = {s.calls, s.total_ps};
+  }
+  EXPECT_EQ(spans, sites);
+
+  // Epoch k covers [base_k, base_k + extent_k), extent = its last clock.
+  std::vector<ps_t> epoch_start{0};
+  for (const auto& ends : epoch_end) {
+    epoch_start.push_back(epoch_start.back() +
+                          *std::max_element(ends.begin(), ends.end()));
+  }
+  for (const auto& [tid, events] : by_tid) {
+    std::vector<ps_t> open;  // end times of the enclosing events
+    for (const obs::TraceEvent* e : events) {
+      while (!open.empty() && open.back() <= e->begin_ps) open.pop_back();
+      EXPECT_TRUE(open.empty() || e->end_ps <= open.back())
+          << "partial overlap on track " << tid << " at " << e->begin_ps;
+      open.push_back(e->end_ps);
+      const auto epoch = std::upper_bound(epoch_start.begin(),
+                                          epoch_start.end(), e->begin_ps);
+      ASSERT_NE(epoch, epoch_start.end()) << e->name << " past the run";
+      EXPECT_LE(e->end_ps, *epoch) << e->name << " crosses an epoch end";
+    }
+  }
+
+  for (const obs::TraceFlow& f : flows) {
+    bool ends_wait = false;
+    for (const obs::TraceEvent* e : by_tid[f.dst_tile]) {
+      ends_wait = ends_wait || (std::string(e->cat) == "wait_edge" &&
+                                e->end_ps == f.dst_ps);
+    }
+    EXPECT_TRUE(ends_wait) << "flow " << f.id << " to tile " << f.dst_tile;
+  }
+
+  std::ostringstream os;
+  obs::write_chrome_trace_json(os, {track}, flows);
+  const JsonValue doc = JsonValue::parse(os.str());
+  std::set<std::int64_t> used;
+  std::set<std::int64_t> named;
+  for (const JsonValue& e : doc.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() != "M") {
+      used.insert(e.at("tid").as_int());
+    } else if (e.at("name").as_string() == "thread_name") {
+      named.insert(e.at("tid").as_int());
+    }
+  }
+  EXPECT_EQ(used, named);
 }
 
 // ===========================================================================

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 CI entry point: configure, build, run the unit/integration test
-# suite, then exercise the telemetry path end to end — one metrics-enabled
-# bench run whose --metrics-json / --trace-json outputs are validated for
-# schema shape and non-emptiness — and finally rebuild the concurrency-
-# sensitive suites (NBI/DMA engine, tmc + tshmem barriers, collectives,
-# runtime, UDN, device runtime) under ThreadSanitizer and run them
-# race-clean.
+# suite, then exercise the telemetry path end to end — one bench run whose
+# --metrics-json output is validated for schema shape and whose
+# --trace-json timeline must agree with its --profile-json report — and
+# finally rebuild the concurrency-sensitive suites (NBI/DMA engine, tmc +
+# tshmem barriers, collectives, runtime, UDN, device runtime, and the
+# probe's consumers: profiler, flight recorder, race detector) under
+# ThreadSanitizer and run them race-clean.
 #
 # After the sanitizer stages, the fault-injection campaign (bench/ext_faults)
 # runs twice per seed over a fixed seed set and the outputs are diffed:
@@ -64,19 +65,22 @@ cmake --build "$BUILD_DIR" -j
 echo "== ctest"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-echo "== telemetry smoke (fig08_tshmem_barrier --metrics-json/--trace-json)"
+echo "== telemetry smoke (fig08_tshmem_barrier --metrics-json/--trace-json" \
+     "/--profile-json)"
 tmp_dir="$(mktemp -d)"
 trap 'rm -rf "$tmp_dir"' EXIT
 metrics_json="$tmp_dir/metrics.json"
 trace_json="$tmp_dir/trace.json"
-"$BUILD_DIR"/bench/fig08_tshmem_barrier \
-  --metrics-json "$metrics_json" --trace-json "$trace_json" >/dev/null
+profile_json="$tmp_dir/profile.json"
+"$BUILD_DIR"/bench/fig08_tshmem_barrier --metrics-json "$metrics_json" \
+  --trace-json "$trace_json" --profile-json "$profile_json" >/dev/null
 
-python3 - "$metrics_json" "$trace_json" <<'EOF'
+python3 - "$metrics_json" "$trace_json" "$profile_json" <<'EOF'
+import collections
 import json
 import sys
 
-metrics_path, trace_path = sys.argv[1], sys.argv[2]
+metrics_path, trace_path, profile_path = sys.argv[1:4]
 
 with open(metrics_path) as f:
     m = json.load(f)
@@ -91,16 +95,56 @@ for run in m["runs"]:
         "no barrier wait samples"
 
 with open(trace_path) as f:
-    t = json.load(f)
-events = t["traceEvents"]
+    events = json.load(f)["traceEvents"]
+with open(profile_path) as f:
+    runs = {r["name"]: r["profile"] for r in json.load(f)["runs"]}
 assert any(e["ph"] == "X" for e in events), "no complete events in trace"
-assert any(e["ph"] == "M" for e in events), "no metadata events in trace"
-print(f"telemetry OK: {len(m['runs'])} run(s), {len(events)} trace events")
+
+def ps(us):
+    return round(float(us) * 1e6)
+
+# The trace and the profile see one probe stream: per (phase, site), the
+# span X events' count and summed duration are the profile's calls and
+# total_ps ("compute" is the residual under no span, not a span).
+spans = collections.defaultdict(lambda: [0, 0])
+wait_ends = set()
+for e in events:
+    if e["ph"] != "X":
+        continue
+    if e["cat"] == "wait_edge":
+        wait_ends.add((e["pid"], e["tid"], ps(e["ts"]) + ps(e["dur"])))
+    elif e["cat"] != "nbi":
+        s = spans[(e["pid"], e["cat"], e["name"])]
+        s[0] += 1
+        s[1] += ps(e["dur"])
+procs = {e["pid"]: e["args"]["name"] for e in events
+         if e["ph"] == "M" and e["name"] == "process_name"}
+for pid, name in procs.items():
+    p = runs[name]
+    assert p["dropped_events"] == 0, (name, p["dropped_events"])
+    want = {(s["phase"], s["site"]): [s["calls"], s["total_ps"]]
+            for s in p["sites"] if (s["phase"], s["site"]) != ("compute",
+                                                             "compute")}
+    got = {k[1:]: v for k, v in spans.items() if k[0] == pid}
+    assert got == want, (name, got, want)
+# Every flow arrow ends where a wait interval on its track ends.
+flows = [e for e in events if e["ph"] == "f"]
+assert flows, "no critical-path flow arrows in trace"
+for e in flows:
+    assert (e["pid"], e["tid"], ps(e["ts"])) in wait_ends, e
+# Every track an event uses is named.
+named = {(e["pid"], e["tid"]) for e in events
+         if e["ph"] == "M" and e["name"] == "thread_name"}
+used = {(e["pid"], e["tid"]) for e in events if e["ph"] != "M"}
+assert used <= named, sorted(used - named)
+print(f"telemetry OK: {len(m['runs'])} run(s), {len(events)} trace events, "
+      f"{len(spans)} span sites match the profile, {len(flows)} flows")
 EOF
 
 if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync," \
-       "test_collectives, test_runtime, test_udn, test_device_runtime)"
+       "test_collectives, test_runtime, test_udn, test_device_runtime," \
+       "test_profiler, test_flightrec, test_racecheck)"
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -108,7 +152,8 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
   cmake --build "$TSAN_DIR" -j \
     --target test_nbi test_tmc_barrier test_barrier_sync test_collectives \
-    test_runtime test_udn test_device_runtime
+    test_runtime test_udn test_device_runtime test_profiler test_flightrec \
+    test_racecheck
   # TSan exits non-zero (66) on any reported race even when gtest passes.
   "$TSAN_DIR"/tests/test_nbi
   "$TSAN_DIR"/tests/test_tmc_barrier
@@ -129,6 +174,11 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   "$TSAN_DIR"/tests/test_udn --gtest_repeat=10
   "$TSAN_DIR"/tests/test_barrier_sync \
     --gtest_filter='Devices/TokenRendezvousTest.*' --gtest_repeat=10
+  # Every tile thread reads the device's probe list, and the race detector
+  # is attached to it once per job.
+  "$TSAN_DIR"/tests/test_profiler
+  "$TSAN_DIR"/tests/test_flightrec
+  "$TSAN_DIR"/tests/test_racecheck
 else
   echo "== tsan: skipped (TSHMEM_CI_TSAN=0)"
 fi

@@ -24,26 +24,20 @@ that generic tooling (clang-tidy, TSan) cannot express:
                             passed as a remote/symmetric argument of a
                             shmem_* call. Remote addresses must point into
                             the symmetric heap (shmalloc) or static arena.
-  R005 raw-obs-mutation     Direct MetricsRegistry mutation (.counter() /
-                            .gauge() / .histogram()) or direct ProfileSink
-                            callback invocation (->on_span_begin() etc.)
-                            outside src/obs/ and sim/profile_hook.hpp.
-                            Instrumentation must go through the obs helpers
-                            (obs::add_count, obs::counter_handle, ...,
-                            tilesim::ProfSpan, tilesim::prof_wait_edge) so
-                            every mutation site stays auditable and the
-                            profiler's never-advances-a-clock contract has
-                            a single enforcement surface.
-
-  R006 raw-flight-mutation  Direct flight-recorder / time-series mutation
-                            (.record_event() / .series_add() /
-                            .series_sample() / .fold_epoch() / .on_event())
-                            outside src/obs/ and sim/flight_hook.hpp.
-                            Instrumentation must go through obs::fr_record,
-                            obs::ts_add, obs::ts_sample, or
-                            tilesim::flight_event so the recorder's
-                            zero-virtual-cost contract (docs/OBSERVABILITY.md)
-                            has a single enforcement surface.
+  R005 raw-obs-mutation     A direct probe callback (->on_span_begin(),
+                            ->on_event(), ->on_clock_reset(), ...), a
+                            time-series mutator (.series_add() /
+                            .series_sample() / .fold_epoch() ...) or a
+                            MetricsRegistry mutation (.counter() / .gauge()
+                            / .histogram()) outside src/obs/,
+                            sim/probe.hpp and tests/. Instrumentation must
+                            go through tilesim::ProbeSpan / the
+                            tilesim::probe_* helpers (sim/probe.hpp) or the
+                            obs helpers (obs::add_count, obs::counter_handle,
+                            obs::fr_record, obs::ts_add, obs::ts_sample, ...)
+                            so every observation site stays auditable and
+                            the never-advances-a-clock contract has a single
+                            enforcement surface.
 
 Suppress a finding with a trailing comment on the offending line:
     do_thing();  // tshmem-lint: allow(R003)
@@ -319,70 +313,36 @@ class FileScanner:
                     "from shmalloc() or the static arena",
                 )
 
-    # --- R005: raw metrics/profiler mutation outside the obs helpers ------
+    # --- R005: raw probe / recorder / registry mutation ---------------------
 
-    # Registry mutators. Matched only on lines that look like registry use
-    # (`reg.counter(...)`, `registry_->gauge(...)`); the obs:: helper names
-    # (counter_handle, add_count, ...) deliberately do not match.
-    R005_METRICS_RE = re.compile(
-        r"(\.|->)\s*(counter|gauge|histogram)\s*\("
+    # Probe callbacks (the flight recorder's only mutator is its on_event),
+    # time-series mutators and registry mutators. Registry calls match only on lines that look like registry
+    # use (`reg.counter(...)`, `registry_->gauge(...)`); the sanctioned
+    # spellings (tilesim::ProbeSpan, tilesim::probe_event, ...,
+    # obs::add_count, obs::counter_handle, obs::fr_record, obs::ts_add,
+    # obs::ts_sample) do not match.
+    R005_RE = re.compile(
+        r"(\.|->)\s*(on_(span_begin|span_end|wait_edge|event|clock_reset"
+        r"|rendezvous_arrive|rendezvous_release)"
+        r"|series_add_window|series_add|series_sample|fold_epoch"
+        r"|set_flush_hook|counter|gauge|histogram)\s*\("
     )
-    # Direct ProfileSink callback invocation; only the profiler plumbing
-    # (src/obs/, sim/profile_hook.hpp, sim/device.cpp's reset fan-out) may
-    # call these — everything else uses ProfSpan / prof_wait_edge.
-    R005_PROFILER_RE = re.compile(
-        r"(\.|->)\s*on_(span_begin|span_end|wait_edge|clock_reset)\s*\("
-    )
-    R005_EXEMPT = ("src/obs/", "sim/profile_hook.hpp", "tests/")
+    R005_EXEMPT = ("src/obs/", "sim/probe.hpp", "tests/")
 
     def rule_raw_obs_mutation(self) -> None:
         path = self.display.replace(os.sep, "/")
         if any(e in path for e in self.R005_EXEMPT):
             return
         for i, line in enumerate(self.lines, 1):
-            if self.R005_METRICS_RE.search(line):
+            if self.R005_RE.search(line):
                 self.report(
                     "R005", i,
-                    "direct MetricsRegistry mutation; use the obs:: helpers "
-                    "(obs::add_count / obs::set_level / obs::record_sample / "
-                    "obs::counter_handle, src/obs/metrics.hpp) so "
-                    "instrumentation sites stay auditable",
-                )
-            if self.R005_PROFILER_RE.search(line):
-                self.report(
-                    "R005", i,
-                    "direct ProfileSink callback call; use tilesim::ProfSpan "
-                    "/ tilesim::prof_wait_edge (sim/profile_hook.hpp) so the "
-                    "profiler's no-clock-advance contract has one "
-                    "enforcement surface",
-                )
-
-    # --- R006: raw flight-recorder / time-series mutation ------------------
-
-    # Ring/window mutators and the FlightSink callback. The sanctioned
-    # spellings (obs::fr_record, obs::ts_add, obs::ts_sample,
-    # tilesim::flight_event) are free functions and do not match.
-    R006_RE = re.compile(
-        r"(\.|->)\s*(record_event|series_add_window|series_add"
-        r"|series_sample|fold_epoch|set_flush_hook"
-        r"|on_event)\s*\("
-    )
-    R006_EXEMPT = ("src/obs/", "sim/flight_hook.hpp", "tests/")
-
-    def rule_raw_flight_mutation(self) -> None:
-        path = self.display.replace(os.sep, "/")
-        if any(e in path for e in self.R006_EXEMPT):
-            return
-        for i, line in enumerate(self.lines, 1):
-            if self.R006_RE.search(line):
-                self.report(
-                    "R006", i,
-                    "direct flight-recorder/time-series mutation; use "
-                    "obs::fr_record / obs::ts_add / obs::ts_sample "
-                    "(src/obs/flightrec.hpp, src/obs/timeseries.hpp) or "
-                    "tilesim::flight_event (sim/flight_hook.hpp) so the "
-                    "recorder's zero-virtual-cost contract has one "
-                    "enforcement surface",
+                    "direct probe callback or recorder/time-series/registry "
+                    "mutation; use tilesim::ProbeSpan / tilesim::probe_* "
+                    "(sim/probe.hpp) or the obs:: helpers (obs::add_count, "
+                    "obs::counter_handle, obs::fr_record, obs::ts_add, ...) "
+                    "so the no-clock-advance contract has one enforcement "
+                    "surface",
                 )
 
     def scan(self) -> list[Finding]:
@@ -390,7 +350,6 @@ class FileScanner:
         self.rule_nbi_quiet()
         self.rule_non_symmetric()
         self.rule_raw_obs_mutation()
-        self.rule_raw_flight_mutation()
         return self.findings
 
 
@@ -451,20 +410,35 @@ def self_test() -> int:
             "void f() { gate.wait(); }\n",
             {},
         ),
-        "src/tshmem/r006_case.cpp": (
+        "src/tshmem/r005_recorder.cpp": (
             "void f(obs::FlightRecorder* fr, obs::TimeSeries* ts) {\n"
-            "  fr->record_event(0, k, \"s\", 1);\n"           # R006
-            "  ts->series_add(\"n\", 1, 1);\n"                # R006
-            "  ts->series_sample(\"n\", 1, 2);\n"             # R006
-            "  ts->fold_epoch(5);  // tshmem-lint: allow(R006)\n"  # allowed
+            "  fr->on_event(0, e);\n"                          # R005
+            "  ts->series_add(\"n\", 1, 1);\n"                # R005
+            "  ts->series_sample(\"n\", 1, 2);\n"             # R005
+            "  ts->fold_epoch(5);  // tshmem-lint: allow(R005)\n"  # allowed
             "  obs::fr_record(fr, 0, k, \"s\", 1);\n"         # sanctioned
             "  obs::ts_add(ts, \"n\", 1);\n"                  # sanctioned
             "}\n",
-            {"R006": 3},
+            {"R005": 3},
         ),
-        # The obs implementation itself is exempt.
-        "src/obs/r006_exempt.cpp": (
+        "src/tmc/r005_probe.cpp": (
+            "void g(tilesim::Probe* p, tilesim::Tile& t) {\n"
+            "  p->on_span_begin(0, k, \"s\", 1);\n"           # R005
+            "  p->on_event(0, e);\n"                          # R005
+            "  p->on_rendezvous_arrive(b, 0, 0);\n"           # R005
+            "  p->on_clock_reset();\n"                        # R005
+            "  tilesim::probe_event(d, 0, e);\n"              # sanctioned
+            "  const tilesim::ProbeSpan probe(t, k, \"s\");\n"  # sanctioned
+            "}\n",
+            {"R005": 4},
+        ),
+        # The obs implementation and the probe header are exempt.
+        "src/obs/r005_exempt.cpp": (
             "void g(obs::TimeSeries* ts) { ts->series_add(\"n\", 1, 1); }\n",
+            {},
+        ),
+        "src/sim/probe.hpp": (
+            "inline void h(Probe* p) { p->on_clock_reset(); }\n",
             {},
         ),
         "src/tshmem/r005_case.cpp": (
