@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "sim/mem_model.hpp"
+#include "sim/probe.hpp"
 
 namespace compare {
 
@@ -84,6 +85,11 @@ std::size_t MsgPassing::recv(Tile& self, int src, int tag,
   self.clock().advance(kCallOverheadPs);
   // Match (src, tag), stashing notifications from other senders that raced
   // ahead (e.g. reduction-tree children arriving out of program order).
+  // One wait bracket per receive, at its entry clock: the number of raw
+  // pulls depends on host arrival order.
+  const ps_t entry = self.clock().now();
+  tilesim::probe_event(self, {tilesim::ProbeKind::kWaitBegin, "udn recv",
+                              entry});
   auto& stash = data_stash_[static_cast<std::size_t>(self.id())];
   for (;;) {
     tmc::UdnPacket pkt;
@@ -106,6 +112,8 @@ std::size_t MsgPassing::recv(Tile& self, int src, int tag,
         continue;
       }
     }
+    tilesim::probe_event(self,
+                         {tilesim::ProbeKind::kWaitEnd, "udn recv", entry});
     self.clock().advance_to(pkt.arrival_ps);
     const auto bytes =
         static_cast<std::size_t>(pkt.payload[0] & 0xffffffffffull);
@@ -184,12 +192,17 @@ void MsgPassing::barrier(Tile& self) {
     udn_.send1(self, (self.id() + span) % n, kBarrierQueue, token);
     // Wait for this round's token, stashing any that belong to later
     // rounds/epochs (earlier ones are protocol errors). Stashed tokens do
-    // not advance the clock — only the matching round's token gates.
+    // not advance the clock — only the matching round's token gates — and
+    // the round reports one wait bracket at its entry clock.
+    const ps_t entry = self.clock().now();
+    tilesim::probe_event(self, {tilesim::ProbeKind::kWaitBegin, "udn recv",
+                                entry});
     bool matched = false;
+    ps_t arrival = 0;
     auto& stash = barrier_stash_[me];
     for (std::size_t i = 0; i < stash.size(); ++i) {
       if (stash[i].first == token) {
-        self.clock().advance_to(stash[i].second);
+        arrival = stash[i].second;
         stash.erase(stash.begin() + static_cast<std::ptrdiff_t>(i));
         matched = true;
         break;
@@ -198,12 +211,15 @@ void MsgPassing::barrier(Tile& self) {
     while (!matched) {
       const tmc::UdnPacket pkt = udn_.recv_raw(self, kBarrierQueue);
       if (pkt.payload[0] == token) {
-        self.clock().advance_to(pkt.arrival_ps);
+        arrival = pkt.arrival_ps;
         matched = true;
       } else {
         stash.emplace_back(pkt.payload[0], pkt.arrival_ps);
       }
     }
+    tilesim::probe_event(self,
+                         {tilesim::ProbeKind::kWaitEnd, "udn recv", entry});
+    self.clock().advance_to(arrival);
   }
 }
 

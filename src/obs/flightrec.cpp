@@ -5,28 +5,8 @@
 #include <stdexcept>
 
 #include "obs/exporters.hpp"
-#include "obs/timeseries.hpp"
 
 namespace obs {
-
-namespace {
-
-// Static "event.<kind>" series labels so the per-event tap does not
-// allocate. Index = ProbeKind value.
-const std::string& event_series_name(tilesim::ProbeKind kind) {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> v;
-    v.reserve(tilesim::kProbeKindCount);
-    for (int i = 0; i < tilesim::kProbeKindCount; ++i) {
-      v.emplace_back(std::string("event.") +
-                     probe_kind_name(static_cast<tilesim::ProbeKind>(i)));
-    }
-    return v;
-  }();
-  return names[static_cast<std::size_t>(kind)];
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(int npes, std::size_t capacity)
     : npes_(npes), capacity_(capacity) {
@@ -47,40 +27,6 @@ FlightRecorder::FlightRecorder(const tilesim::Device& device,
   device_ = &device;
 }
 
-FlightRecorder::~FlightRecorder() { set_tap(nullptr); }
-
-void FlightRecorder::set_tap(TimeSeries* ts) {
-  if (tap_ == ts) return;
-  if (tap_ != nullptr) {
-    flush_tap();
-    tap_->set_flush_hook(nullptr);
-  }
-  tap_ = ts;
-  tap_window_ps_ = 0;
-  if (tap_ != nullptr) {
-    tap_window_ps_ = tap_->window_ps();
-    tap_->set_flush_hook([this] { flush_tap(); });
-  }
-}
-
-void FlightRecorder::flush_cell(PeRing& r) {
-  TapCell& c = r.tap;
-  if (!c.dirty) return;
-  for (int k = 0; k < tilesim::kProbeKindCount; ++k) {
-    std::uint64_t& n = c.counts[static_cast<std::size_t>(k)];
-    if (n == 0) continue;
-    tap_->series_add_window(
-        event_series_name(static_cast<tilesim::ProbeKind>(k)), c.window, n);
-    n = 0;
-  }
-  c.dirty = false;
-}
-
-void FlightRecorder::flush_tap() {
-  if (tap_ == nullptr) return;
-  for (const std::unique_ptr<PeRing>& r : rings_) flush_cell(*r);
-}
-
 void FlightRecorder::on_clock_reset() {
   if (device_ == nullptr) return;
   // Single-threaded safe point (the Probe contract): every tile's
@@ -89,9 +35,7 @@ void FlightRecorder::on_clock_reset() {
   for (int i = 0; i < device_->tile_count(); ++i) {
     extent = std::max(extent, device_->tile(i).clock().now());
   }
-  if (extent == 0) return;
   epoch_base_ps_.fetch_add(extent, std::memory_order_relaxed);
-  if (tap_ != nullptr) tap_->fold_epoch(extent);
 }
 
 void FlightRecorder::on_event(int pe, const tilesim::ProbeEvent& e) {
@@ -112,19 +56,6 @@ void FlightRecorder::on_event(int pe, const tilesim::ProbeEvent& e) {
   slot.bytes = e.bytes;
   slot.errc = static_cast<std::int32_t>(e.errc);
   r.next_seq.store(seq + 1, std::memory_order_release);
-  if (tap_ != nullptr) {
-    // Batched tap: bump the local (kind, window) count; flush the cell's
-    // aggregates only when this PE's window advances. The window is
-    // resolved here from the recorder's own fold (identical to the tap's —
-    // folds are forwarded), so the flush path skips the epoch-base add.
-    TapCell& c = r.tap;
-    const std::uint64_t w = static_cast<std::uint64_t>(folded) /
-                            static_cast<std::uint64_t>(tap_window_ps_);
-    if (c.dirty && c.window != w) flush_cell(r);
-    c.window = w;
-    c.counts[static_cast<std::size_t>(e.kind)] += 1;
-    c.dirty = true;
-  }
 }
 
 tilesim::ps_t FlightRecorder::epoch_base_ps() const {

@@ -12,16 +12,13 @@
 // Epoch model: virtual times arrive epoch-local; at every
 // Device::reset_clocks() the recorder folds the finished epoch (max tile
 // clock) into epoch_base_ps_, so stored vts form one monotone timeline per
-// run and cross-PE merges are meaningful. The fold is forwarded to the
-// optional TimeSeries tap, which also receives one "event.<kind>" count per
-// recorded event.
+// run and cross-PE merges are meaningful.
 //
 // Zero virtual cost: nothing here touches a SimClock; the recorder-on/off
 // bit-identity loop in tools/ci.sh enforces it. Mutation outside src/obs/
-// must go through obs::fr_record / tilesim::probe_event (lint rule R005).
+// must go through tilesim::probe_event (lint rule R005).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
@@ -32,8 +29,6 @@
 #include "sim/probe.hpp"
 
 namespace obs {
-
-class TimeSeries;
 
 /// One recorded event. `vt` is epoch-folded (monotone within a run).
 struct FrEvent {
@@ -62,24 +57,10 @@ class FlightRecorder final : public tilesim::Probe {
   explicit FlightRecorder(const tilesim::Device& device,
                           std::size_t capacity = kDefaultCapacity);
 
-  /// Flushes and detaches the tap (equivalent to set_tap(nullptr)).
-  ~FlightRecorder() override;
-
   /// Records one event of PE `pe` with an epoch-local `vt`. Call through
-  /// tilesim::probe_event / obs::fr_record outside src/obs/ (lint rule
-  /// R005).
+  /// tilesim::probe_event outside src/obs/ (lint rule R005).
   void on_event(int pe, const tilesim::ProbeEvent& e) override;
   void on_clock_reset() override;
-
-  /// Forward every recorded event as an "event.<kind>" count (and every
-  /// epoch fold) to `ts`. Counts are batched per (PE, kind, window) in the
-  /// hot path and flushed as window aggregates when a PE's window
-  /// advances, when the tap is detached, and — via the flush hook this
-  /// registers on `ts` — at the top of every TimeSeries::report(), so
-  /// reports reconcile exactly regardless of call site. The tap must
-  /// outlive the attachment (the destructor detaches). Pass nullptr to
-  /// flush and detach.
-  void set_tap(TimeSeries* ts);
 
   [[nodiscard]] int npes() const noexcept { return npes_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
@@ -101,31 +82,14 @@ class FlightRecorder final : public tilesim::Probe {
   // and a concurrent snapshot drops any prefix the writer may have
   // overwritten during the copy (see snapshot()). A mutex here measurably
   // throttles put-heavy benches (one lock per shmem op per PE).
-  // Batched tap counts for one PE: events land in counts[kind] for the
-  // PE's current window and are flushed to the TimeSeries as one
-  // series_add_window per (kind, window). Written only by the owning PE's
-  // thread; read by flush_tap(), which runs only at quiesced points (tap
-  // detach, TimeSeries::report() after PEs join).
-  struct TapCell {
-    std::uint64_t window = 0;
-    bool dirty = false;
-    std::array<std::uint64_t, tilesim::kProbeKindCount> counts{};
-  };
-
   struct PeRing {
     std::vector<FrEvent> ring;  ///< capacity_ slots, seq % capacity_
     std::atomic<std::uint64_t> next_seq{0};
-    TapCell tap;
   };
-
-  void flush_cell(PeRing& r);
-  void flush_tap();
 
   int npes_;
   std::size_t capacity_;
   const tilesim::Device* device_ = nullptr;
-  TimeSeries* tap_ = nullptr;
-  tilesim::ps_t tap_window_ps_ = 0;  ///< cached tap_->window_ps()
   // Atomic, not mutex-guarded: on_event reads it on every event from
   // every PE thread (a shared mutex here measurably throttles put-heavy
   // benches), while stores only happen at the single-threaded safe points
@@ -133,15 +97,6 @@ class FlightRecorder final : public tilesim::Probe {
   std::atomic<tilesim::ps_t> epoch_base_ps_{0};
   std::vector<std::unique_ptr<PeRing>> rings_;
 };
-
-/// Null-safe sanctioned entry point (the only way code outside src/obs/
-/// may mutate a FlightRecorder directly — lint rule R005). Prefer
-/// tilesim::probe_event when a Device is at hand.
-inline void fr_record(FlightRecorder* fr, int pe, tilesim::ProbeKind kind,
-                      const char* site, tilesim::ps_t vt, int peer = -1,
-                      std::uint64_t bytes = 0, int errc = 0) {
-  if (fr != nullptr) fr->on_event(pe, {kind, site, vt, peer, bytes, errc});
-}
 
 inline constexpr const char* kBlackboxSchema = "tshmem.blackbox.v1";
 

@@ -224,11 +224,6 @@ class MetricsRegistry {
   return &reg.counter(name, pe);
 }
 
-[[nodiscard]] inline Gauge* gauge_handle(MetricsRegistry& reg,
-                                         std::string_view name, int pe) {
-  return &reg.gauge(name, pe);
-}
-
 [[nodiscard]] inline Log2Histogram* histogram_handle(MetricsRegistry& reg,
                                                      std::string_view name,
                                                      int pe) {
@@ -246,12 +241,6 @@ inline void add_count(MetricsRegistry& reg, std::string_view name, int pe,
 inline void set_level(MetricsRegistry& reg, std::string_view name, int pe,
                       std::int64_t v) {
   reg.gauge(name, pe).set(v);
-}
-
-/// One-shot histogram sample for cold paths.
-inline void record_sample(MetricsRegistry& reg, std::string_view name, int pe,
-                          std::uint64_t sample) {
-  reg.histogram(name, pe).record(sample);
 }
 
 }  // namespace obs

@@ -1,5 +1,6 @@
 #include "obs/timeseries.hpp"
 
+#include <algorithm>
 #include <ostream>
 #include <stdexcept>
 
@@ -8,18 +9,25 @@
 
 namespace obs {
 
-TimeSeries::TimeSeries(tilesim::ps_t window_ps) : window_ps_(window_ps) {
+TimeSeries::TimeSeries(tilesim::ps_t window_ps, int npes)
+    : window_ps_(window_ps), cells_(static_cast<std::size_t>(npes)) {
   if (window_ps <= 0) {
     throw std::invalid_argument("TimeSeries window_ps must be positive");
   }
 }
 
+TimeSeries::TimeSeries(const tilesim::Device& device, tilesim::ps_t window_ps)
+    : TimeSeries(window_ps, device.tile_count()) {
+  device_ = &device;
+}
+
+std::uint64_t TimeSeries::window_of(tilesim::ps_t vt) const {
+  return (epoch_base_ps_.load(std::memory_order_relaxed) + vt) / window_ps_;
+}
+
 TimeSeries::Cell& TimeSeries::cell_at(const std::string& name,
                                       tilesim::ps_t vt) {
-  const auto folded = static_cast<std::uint64_t>(epoch_base_ps_ + vt);
-  const std::uint64_t window =
-      folded / static_cast<std::uint64_t>(window_ps_);
-  return series_[name][window];
+  return series_[name][window_of(vt)];
 }
 
 void TimeSeries::series_add(const std::string& name, tilesim::ps_t vt,
@@ -37,38 +45,56 @@ void TimeSeries::series_sample(const std::string& name, tilesim::ps_t vt,
   c.hist->record(value);
 }
 
-void TimeSeries::series_add_window(const std::string& name,
-                                   std::uint64_t window_index,
-                                   std::uint64_t delta) {
-  std::scoped_lock lk(mu_);
-  series_[name][window_index].count += delta;
+void TimeSeries::flush(EventCell& c) const {
+  if (!c.dirty) return;
+  for (std::size_t k = 0; k < c.counts.size(); ++k) {
+    if (c.counts[k] == 0) continue;
+    const auto kind = static_cast<tilesim::ProbeKind>(k);
+    series_[std::string("event.") + tilesim::probe_kind_name(kind)]
+           [c.window].count += c.counts[k];
+    c.counts[k] = 0;
+  }
+  c.dirty = false;
 }
 
-void TimeSeries::set_flush_hook(std::function<void()> hook) {
-  std::scoped_lock lk(mu_);
-  flush_hook_ = std::move(hook);
+void TimeSeries::on_event(int pe, const tilesim::ProbeEvent& e) {
+  if (pe < 0 || pe >= static_cast<int>(cells_.size())) return;
+  EventCell& c = cells_[static_cast<std::size_t>(pe)];
+  const std::uint64_t w = window_of(e.vt);
+  if (c.dirty && c.window != w) {
+    std::scoped_lock lk(mu_);
+    flush(c);
+  }
+  c.window = w;
+  c.counts[static_cast<std::size_t>(e.kind)] += 1;
+  c.dirty = true;
+  if (e.kind == tilesim::ProbeKind::kBarrier) {
+    series_sample("shmem.barrier.ps", e.vt, e.bytes);
+  }
+}
+
+void TimeSeries::on_clock_reset() {
+  if (device_ == nullptr) return;
+  // Single-threaded safe point (the Probe contract): every tile's clock
+  // is final, so the finished epoch's extent is their max.
+  tilesim::ps_t extent = 0;
+  for (int i = 0; i < device_->tile_count(); ++i) {
+    extent = std::max(extent, device_->tile(i).clock().now());
+  }
+  fold_epoch(extent);
 }
 
 void TimeSeries::fold_epoch(tilesim::ps_t extent) {
-  std::scoped_lock lk(mu_);
-  epoch_base_ps_ += extent;
+  epoch_base_ps_.fetch_add(extent, std::memory_order_relaxed);
 }
 
 tilesim::ps_t TimeSeries::epoch_base_ps() const {
-  std::scoped_lock lk(mu_);
-  return epoch_base_ps_;
+  return epoch_base_ps_.load(std::memory_order_relaxed);
 }
 
 TimeSeriesReport TimeSeries::report() const {
-  // Run the flush hook (the FlightRecorder's batched tap) outside mu_ —
-  // flushing re-enters through series_add_window, which locks it.
-  std::function<void()> hook;
-  {
-    std::scoped_lock lk(mu_);
-    hook = flush_hook_;
-  }
-  if (hook) hook();
   std::scoped_lock lk(mu_);
+  for (EventCell& c : cells_) flush(c);
   TimeSeriesReport rep;
   rep.window_ps = window_ps_;
   rep.series.reserve(series_.size());

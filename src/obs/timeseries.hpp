@@ -7,20 +7,24 @@
 //     (latencies, barrier durations), with p50/p99/p999 extracted via
 //     obs::quantiles at report time.
 //
-// Virtual times are epoch-local at ingestion: Device::reset_clocks()
-// boundaries are folded in via fold_epoch(extent), which offsets every
-// subsequent observation by the finished epoch's extent so one run's
-// phases line up on a single monotone timeline (the profiler's epoch
-// model, docs/PROFILING.md).
+// As a tilesim::Probe consumer it counts every event in its kind's
+// "event.<kind>" series and samples each kBarrier event's `bytes` (the
+// barrier's virtual duration) as "shmem.barrier.ps".
+//
+// Virtual times are epoch-local at ingestion: fold_epoch(extent), called
+// by the device-attached form at every Device::reset_clocks(), offsets
+// every later observation, so one run's phases line up on a single
+// monotone timeline (the profiler's epoch model, docs/PROFILING.md).
 //
 // Host-side cost only, zero virtual cost: ingestion never touches a
 // SimClock, and the recorder-on/off bit-identity loop in tools/ci.sh
-// covers it. Mutation outside src/obs/ must go through the null-safe
-// obs::ts_add / obs::ts_sample helpers (lint rule R005).
+// covers it. Outside src/obs/, report through tilesim::probe_event and
+// the null-safe obs::ts_add / obs::ts_sample (lint rule R005).
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -29,7 +33,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "sim/config.hpp"
+#include "sim/probe.hpp"
 
 namespace obs {
 
@@ -60,17 +64,22 @@ struct TimeSeriesReport {
   std::vector<SeriesTimeline> series;  ///< sorted by name
 };
 
-class TimeSeries {
+class TimeSeries final : public tilesim::Probe {
  public:
+  /// Standalone form (the svc serve loop, unit tests): counts the events
+  /// of PEs [0, npes); with no tile clocks it folds no epochs itself.
   /// `window_ps` must be positive.
-  explicit TimeSeries(tilesim::ps_t window_ps);
+  explicit TimeSeries(tilesim::ps_t window_ps, int npes = 1);
 
-  TimeSeries(const TimeSeries&) = delete;
-  TimeSeries& operator=(const TimeSeries&) = delete;
+  /// Device-attached form: one event cell per tile, and on_clock_reset
+  /// folds the finished epoch.
+  TimeSeries(const tilesim::Device& device, tilesim::ps_t window_ps);
 
-  [[nodiscard]] tilesim::ps_t window_ps() const noexcept {
-    return window_ps_;
-  }
+  /// Batched per PE: takes the lock only when the PE's window advances
+  /// (or to sample a barrier). Events of PEs outside the cells are
+  /// dropped, as the recorder drops them.
+  void on_event(int pe, const tilesim::ProbeEvent& e) override;
+  void on_clock_reset() override;
 
   /// Raw counter mutator: adds `delta` to series `name` in the window
   /// containing epoch-local virtual time `vt`. Call through obs::ts_add
@@ -84,31 +93,15 @@ class TimeSeries {
   void series_sample(const std::string& name, tilesim::ps_t vt,
                      std::uint64_t value);
 
-  /// Raw bulk-counter mutator: adds `delta` directly to the cell of
-  /// absolute window `window_index` (no epoch-base fold — the caller has
-  /// already resolved the window). This is the FlightRecorder tap's flush
-  /// path; it exists so the per-event hot path can batch counts per
-  /// (PE, kind, window) instead of taking mu_ per event. Raw mutator under
-  /// lint rule R005.
-  void series_add_window(const std::string& name, std::uint64_t window_index,
-                         std::uint64_t delta);
-
-  /// Registers a callback invoked at the top of every report(), before the
-  /// snapshot is taken. The FlightRecorder registers its tap flush here so
-  /// batched event counts are always folded in no matter which call site
-  /// asks for the report. Pass nullptr (default-constructed function) to
-  /// clear.
-  void set_flush_hook(std::function<void()> hook);
-
   /// Epoch boundary: every later observation's vt is offset by the
-  /// finished epoch's `extent` (the max tile clock at reset). Raw mutator
-  /// under lint rule R005; the FlightRecorder forwards its own fold here.
+  /// finished epoch's `extent`. Raw mutator under lint rule R005.
   void fold_epoch(tilesim::ps_t extent);
 
   [[nodiscard]] tilesim::ps_t epoch_base_ps() const;
 
   /// Stable snapshot: series sorted by name, windows by index, quantiles
-  /// extracted from each window histogram.
+  /// extracted from each window histogram. Folds in the event counts the
+  /// PEs have batched, so call it while no PE runs.
   [[nodiscard]] TimeSeriesReport report() const;
 
  private:
@@ -117,13 +110,29 @@ class TimeSeries {
     std::unique_ptr<Log2Histogram> hist;  ///< lazily created on first sample
   };
 
+  /// One PE's event counts for its current window, written only by the
+  /// PE's own thread and flushed into series_ when the window advances.
+  struct alignas(64) EventCell {
+    std::uint64_t window = 0;
+    bool dirty = false;
+    std::array<std::uint64_t, tilesim::kProbeKindCount> counts{};
+  };
+
+  /// Absolute window of epoch-local `vt`.
+  [[nodiscard]] std::uint64_t window_of(tilesim::ps_t vt) const;
   Cell& cell_at(const std::string& name, tilesim::ps_t vt);
+  void flush(EventCell& c) const;  ///< requires mu_
 
   tilesim::ps_t window_ps_;
+  const tilesim::Device* device_ = nullptr;
   mutable std::mutex mu_;
-  tilesim::ps_t epoch_base_ps_ = 0;
-  std::map<std::string, std::map<std::uint64_t, Cell>> series_;
-  std::function<void()> flush_hook_;  ///< guarded by mu_; run outside it
+  // Atomic, not mutex-guarded: on_event reads it for every event, while
+  // folds only happen where no PE runs.
+  std::atomic<tilesim::ps_t> epoch_base_ps_{0};
+  // report() flushes the batched counts: that changes where a count is
+  // kept, not what a report shows.
+  mutable std::map<std::string, std::map<std::uint64_t, Cell>> series_;
+  mutable std::vector<EventCell> cells_;
 };
 
 /// Writes the `tshmem.timeseries.v1` JSON document: schema, window width,

@@ -87,7 +87,9 @@ bool spin_until(std::unique_lock<std::mutex>& lk, Pred& pred) {
 
 /// guarded_wait without the flight-recorder bracket. Device::host_sync
 /// waits through this: a harness rendezvous charges no virtual time, and
-/// the clock it would record may be reset by another tile mid-wait.
+/// the clock it would record may be reset by another tile mid-wait. So
+/// does UdnFabric::recv_raw, whose tag-matching caller brackets the whole
+/// receive once.
 template <typename Pred>
 void guarded_host_wait(const Device& device,
                        std::unique_lock<std::mutex>& lk,

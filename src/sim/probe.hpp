@@ -1,8 +1,8 @@
 // The device's one observation interface. Every consumer that watches a
-// run without acting on it (profiler, flight recorder, trace log,
-// tshmem-check race detector) is a Probe attached to the Device; each
-// callback defaults to a no-op. It lives in sim so tmc and tshmem report
-// without an upward dependency.
+// run without acting on it (per-op metrics, profiler, flight recorder,
+// time series, trace log, tshmem-check race detector) is a Probe attached
+// to the Device; each callback defaults to a no-op. It lives in sim so
+// tmc and tshmem report without an upward dependency.
 //
 // Contract: callbacks never advance a SimClock (outputs are bit-identical
 // with any consumer attached; tools/ci.sh checks it). Every callback for a
@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <iterator>
+#include <vector>
 
 #include "sim/device.hpp"
 
@@ -188,6 +189,9 @@ class Probe {
   /// Every tile clock is about to reset to zero (epoch boundary); the
   /// clocks still hold the finished epoch's final values.
   virtual void on_clock_reset() {}
+  /// False for a consumer that only counts ops: it never sees the
+  /// individual token messages a linear barrier's host rendezvous skips.
+  [[nodiscard]] virtual bool records_messages() const { return true; }
 };
 
 /// One op, named once: reports span begin at construction and end at
@@ -225,6 +229,13 @@ class ProbeSpan {
 
 inline void probe_event(const Tile& tile, const ProbeEvent& e) {
   for (Probe* p : tile.device().probes()) p->on_event(tile.id(), e);
+}
+
+/// Reports PE `pe`'s event to consumers that have no Device (the svc serve
+/// loop's recorder and time series).
+inline void probe_event(const std::vector<Probe*>& probes, int pe,
+                        const ProbeEvent& e) {
+  for (Probe* p : probes) p->on_event(pe, e);
 }
 
 /// Reports a wait edge (nothing when the clock did not actually jump).

@@ -17,6 +17,8 @@
 namespace svc {
 
 using apps::cbir::Feature;
+using tilesim::probe_event;
+using tilesim::ProbeKind;
 using apps::cbir::FeatureCache;
 using apps::cbir::Hit;
 using apps::cbir::ShardIndex;
@@ -48,17 +50,16 @@ Service::Service(tshmem::Cluster& cluster, ServiceConfig cfg)
   if (cfg_.closed_loop && cfg_.concurrency < 1) {
     throw std::invalid_argument("service: closed loop needs concurrency>=1");
   }
-  if (cfg_.timeseries_window_ps > 0 || !cfg_.blackbox_path.empty()) {
-    cfg_.flightrec = true;
-  }
+  if (!cfg_.blackbox_path.empty()) cfg_.flightrec = true;
   if (cfg_.flightrec) {
     flightrec_ = std::make_unique<obs::FlightRecorder>(
         cluster_.num_devices(), cfg_.flightrec_capacity);
-    if (cfg_.timeseries_window_ps > 0) {
-      timeseries_ =
-          std::make_unique<obs::TimeSeries>(cfg_.timeseries_window_ps);
-      flightrec_->set_tap(timeseries_.get());
-    }
+    probes_.push_back(flightrec_.get());
+  }
+  if (cfg_.timeseries_window_ps > 0) {
+    timeseries_ = std::make_unique<obs::TimeSeries>(cfg_.timeseries_window_ps,
+                                                    cluster_.num_devices());
+    probes_.push_back(timeseries_.get());
   }
 }
 
@@ -214,9 +215,9 @@ ServiceReport Service::run() {
   auto* m_deadline = obs::counter_handle(metrics_, "svc.deadline_drop", 0);
   auto* m_latency = obs::histogram_handle(metrics_, "svc.latency.ps", 0);
   auto* m_fill = obs::histogram_handle(metrics_, "svc.batch.fill", 0);
-  // Flight-recorder / time-series handles are null-safe: when disabled the
-  // helpers are no-ops and the serve loop is untouched (rule R005).
-  obs::FlightRecorder* fr = flightrec_.get();
+  // probe_event reports each event to the recorder and time series (to
+  // neither when both are off); the svc.* series helpers are null-safe
+  // (rule R005).
   obs::TimeSeries* ts = timeseries_.get();
 
   std::priority_queue<Event, std::vector<Event>, EventAfter> heap;
@@ -258,9 +259,9 @@ ServiceReport Service::run() {
                                 ReplicaHealth::kDegraded);
       ++stats.degraded_episodes;
       obs::add_count(metrics_, "svc.shard.degraded", rid, 1);
-      obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcDegraded,
-                     "svc_degrade", now, -1, 0,
-                     static_cast<int>(tshmem::Errc::kShardDegraded));
+      probe_event(probes_, rid,
+                  {ProbeKind::kSvcDegraded, "svc_degrade", now, -1, 0,
+                   static_cast<int>(tshmem::Errc::kShardDegraded)});
       obs::ts_add(ts, "svc.degraded", now);
       dump_blackbox("shard " + std::to_string(shard_of(rid)) + " replica " +
                         std::to_string(replica_of(rid)) +
@@ -274,15 +275,14 @@ ServiceReport Service::run() {
       ++stats.recoveries;
       stats.last_recovery_ps = now;
       obs::add_count(metrics_, "svc.shard.recovered", rid, 1);
-      obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcRecovered,
-                     "svc_recover", now);
+      probe_event(probes_, rid, {ProbeKind::kSvcRecovered, "svc_recover", now});
       obs::ts_add(ts, "svc.recovered", now);
       if (replica_of(rid) == 0 && replicas > 1) {
         // The primary is back: the ReplicaSet prefers it again.
         ++rep.failbacks;
         obs::add_count(metrics_, "svc.failover.failbacks", rid, 1);
-        obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcFailback,
-                       "svc_failback", now);
+        probe_event(probes_, rid, {ProbeKind::kSvcFailback, "svc_failback",
+                                   now});
         obs::ts_add(ts, "svc.failback", now);
       }
     }
@@ -310,8 +310,8 @@ ServiceReport Service::run() {
     rep.max_latency_ps = std::max(rep.max_latency_ps, latency);
     ++rep.completed;
     m_completed->add(1);
-    obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcComplete,
-                   "svc_complete", now, -1, 1);
+    probe_event(probes_, rid, {ProbeKind::kSvcComplete, "svc_complete", now, -1,
+                               1});
     obs::ts_add(ts, "svc.completed", now);
     obs::ts_sample(ts, "svc.latency.ps", now, latency);
     // A query key is a database image, so the exact answer is
@@ -328,8 +328,8 @@ ServiceReport Service::run() {
       ++rep.replica_lost;
       obs::add_count(metrics_, "svc.replica.lost", 0, 1);
     }
-    obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcShed, "svc_shed", now,
-                   -1, 1, static_cast<int>(errc));
+    probe_event(probes_, rid, {ProbeKind::kSvcShed, "svc_shed", now, -1, 1,
+                               static_cast<int>(errc)});
     obs::ts_add(ts, "svc.shed", now);
     if (rep.shed_error.empty()) {
       std::ostringstream msg;
@@ -367,9 +367,10 @@ ServiceReport Service::run() {
     if (codel) ++rep.codel_dropped;
     m_deadline->add(1);
     if (codel) obs::add_count(metrics_, "svc.codel.drop", rid, 1);
-    obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcDeadlineDrop,
-                   codel ? "svc_codel_drop" : "svc_deadline_drop", now, -1,
-                   1, static_cast<int>(tshmem::Errc::kDeadlineExceeded));
+    probe_event(probes_, rid,
+                {ProbeKind::kSvcDeadlineDrop,
+                 codel ? "svc_codel_drop" : "svc_deadline_drop", now, -1, 1,
+                 static_cast<int>(tshmem::Errc::kDeadlineExceeded)});
     obs::ts_add(ts, "svc.deadline_drop", now);
     reply(now);
   };
@@ -424,8 +425,8 @@ ServiceReport Service::run() {
     ++rep.requeued;
     ++rep.shard_stats[static_cast<std::size_t>(from_rid)].requeued;
     obs::add_count(metrics_, "svc.failover.requeued", from_rid, 1);
-    obs::fr_record(fr, from_rid, tilesim::ProbeKind::kSvcFailover,
-                   "svc_requeue", now, to_rid, 1);
+    probe_event(probes_, from_rid, {ProbeKind::kSvcFailover, "svc_requeue", now,
+                                    to_rid, 1});
     obs::ts_add(ts, "svc.failover", now);
     enqueue(to_rid, q, now);
   };
@@ -442,9 +443,8 @@ ServiceReport Service::run() {
     ++stats.crashes;
     ++rep.replica_crashes;
     obs::add_count(metrics_, "svc.replica.crashed", rid, 1);
-    obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcCrash, "svc_crash",
-                   now, -1, 0,
-                   static_cast<int>(tshmem::Errc::kReplicaLost));
+    probe_event(probes_, rid, {ProbeKind::kSvcCrash, "svc_crash", now, -1, 0,
+                               static_cast<int>(tshmem::Errc::kReplicaLost)});
     obs::ts_add(ts, "svc.crash", now);
     dump_blackbox("shard " + std::to_string(shard_of(rid)) + " replica " +
                       std::to_string(replica_of(rid)) +
@@ -504,8 +504,8 @@ ServiceReport Service::run() {
     obs::add_count(metrics_, "svc.shard.batches", rid, 1);
     obs::add_count(metrics_, "svc.shard.queries", rid, s.running.size());
     m_fill->record(s.running.size());
-    obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcBatch, "svc_batch",
-                   now, -1, s.running.size());
+    probe_event(probes_, rid, {ProbeKind::kSvcBatch, "svc_batch", now, -1,
+                               s.running.size()});
     push(Event{s.busy_until, 0, Event::Kind::kBatchDone, rid, 0, {}});
   };
 
@@ -534,8 +534,8 @@ ServiceReport Service::run() {
         ++rep.offered;
         m_offered->add(1);
         const int home = router.home_shard(a.key);
-        obs::fr_record(fr, home, tilesim::ProbeKind::kSvcArrival,
-                       "svc_arrival", now, -1, 1);
+        probe_event(probes_, home, {ProbeKind::kSvcArrival, "svc_arrival", now,
+                                    -1, 1});
         obs::ts_add(ts, "svc.offered", now);
         // Open loop: keep the arrival stream going regardless of outcome.
         if (!cfg_.closed_loop && !gen.exhausted()) {
@@ -551,8 +551,8 @@ ServiceReport Service::run() {
               static_cast<std::uint64_t>(cfg_.cache_hit_ps));
           ++rep.completed;
           m_completed->add(1);
-          obs::fr_record(fr, home, tilesim::ProbeKind::kSvcComplete,
-                         "svc_cache_hit", done, -1, 1);
+          probe_event(probes_, home, {ProbeKind::kSvcComplete, "svc_cache_hit",
+                                      done, -1, 1});
           obs::ts_add(ts, "svc.completed", done);
           obs::ts_sample(ts, "svc.latency.ps", done,
                          static_cast<std::uint64_t>(cfg_.cache_hit_ps));
@@ -572,8 +572,9 @@ ServiceReport Service::run() {
         if (route.failover) {
           ++rep.failover_routed;
           obs::add_count(metrics_, "svc.failover.routed", rid, 1);
-          obs::fr_record(fr, rid, tilesim::ProbeKind::kSvcFailover,
-                         "svc_failover_route", now, route.shard, 1);
+          probe_event(probes_, rid, {ProbeKind::kSvcFailover,
+                                     "svc_failover_route", now, route.shard,
+                                     1});
           obs::ts_add(ts, "svc.failover", now);
         }
         const PendingQuery q{
@@ -612,14 +613,14 @@ ServiceReport Service::run() {
         ++stats.recoveries;
         stats.last_recovery_ps = now;
         obs::add_count(metrics_, "svc.replica.recovered", e.rid, 1);
-        obs::fr_record(fr, e.rid, tilesim::ProbeKind::kSvcRecovered,
-                       "svc_flap_recover", now);
+        probe_event(probes_, e.rid, {ProbeKind::kSvcRecovered,
+                                     "svc_flap_recover", now});
         obs::ts_add(ts, "svc.recovered", now);
         if (replica_of(e.rid) == 0 && replicas > 1) {
           ++rep.failbacks;
           obs::add_count(metrics_, "svc.failover.failbacks", e.rid, 1);
-          obs::fr_record(fr, e.rid, tilesim::ProbeKind::kSvcFailback,
-                         "svc_failback", now);
+          probe_event(probes_, e.rid, {ProbeKind::kSvcFailback, "svc_failback",
+                                       now});
           obs::ts_add(ts, "svc.failback", now);
         }
         break;

@@ -93,12 +93,13 @@ struct ServiceConfig {
   ps_t unhealthy_backlog_ps = 5'000'000'000;  ///< 5 ms
   ps_t recover_backlog_ps = 1'000'000'000;    ///< 1 ms
   tilesim::FaultPlan fault_plan;  ///< kShardStall is the serving site
-  /// Flight recorder over the serve loop: one ring per shard, fed by the
-  /// deterministic event loop (docs/OBSERVABILITY.md). Zero virtual cost.
+  /// Flight recorder over the serve loop: one ring per replica slot, fed
+  /// by the deterministic event loop (docs/OBSERVABILITY.md). Zero virtual
+  /// cost.
   bool flightrec = false;
   std::size_t flightrec_capacity = obs::FlightRecorder::kDefaultCapacity;
-  ps_t timeseries_window_ps = 0;  ///< >0 adds windowed svc.* telemetry
-                                  ///< (implies flightrec)
+  ps_t timeseries_window_ps = 0;  ///< >0 adds windowed svc.* and event.*
+                                  ///< telemetry
   std::string blackbox_path;      ///< dump a post-mortem here on the first
                                   ///< shard degradation (implies flightrec)
 };
@@ -208,6 +209,7 @@ class Service {
   obs::MetricsRegistry metrics_;
   std::unique_ptr<obs::FlightRecorder> flightrec_;
   std::unique_ptr<obs::TimeSeries> timeseries_;
+  std::vector<tilesim::Probe*> probes_;  ///< the two above, when enabled
   bool blackbox_written_ = false;
 };
 

@@ -17,6 +17,8 @@ InterruptController::InterruptController(Device& device) : device_(&device) {
 
 void InterruptController::raise(Tile& requester, int target_tile,
                                 const std::function<void(Tile&)>& handler) {
+  per_tile_[static_cast<std::size_t>(requester.id())]->raised.fetch_add(
+      1, std::memory_order_relaxed);
   if (!supported()) {
     throw std::runtime_error(
         "UDN interrupts are not supported on " + device_->config().name +
@@ -80,6 +82,14 @@ std::uint64_t InterruptController::serviced(int tile) const {
   }
   std::scoped_lock lk(per_tile_[static_cast<std::size_t>(tile)]->mu);
   return per_tile_[static_cast<std::size_t>(tile)]->serviced;
+}
+
+std::uint64_t InterruptController::raised(int tile) const {
+  if (tile < 0 || tile >= device_->tile_count()) {
+    throw std::invalid_argument("tile out of range");
+  }
+  return per_tile_[static_cast<std::size_t>(tile)]->raised.load(
+      std::memory_order_relaxed);
 }
 
 }  // namespace tmc

@@ -20,6 +20,7 @@
 // interrupt at a time.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -56,11 +57,15 @@ class InterruptController {
 
   /// Count of interrupts serviced per tile (for tests/diagnostics).
   [[nodiscard]] std::uint64_t serviced(int tile) const;
+  /// Count of raise() calls per requesting tile, failed ones included
+  /// (the shmem.interrupt.services metric).
+  [[nodiscard]] std::uint64_t raised(int tile) const;
 
  private:
   struct PerTile {
     std::mutex mu;
     std::uint64_t serviced = 0;
+    std::atomic<std::uint64_t> raised{0};  ///< as the requester
     /// Interrupt service context: carries the service timeline for this
     /// target. Created on first raise; its clock re-zeroes lazily when the
     /// device's clock generation moves (job/phase boundaries).

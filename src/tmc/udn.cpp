@@ -270,9 +270,10 @@ UdnPacket UdnFabric::recv_raw(Tile& receiver, int queue) {
   Queue& q = queue_at(receiver.id(), queue);
   UdnPacket pkt;
   {
+    // No wait bracket: the tag-matching caller reports one per receive.
     std::unique_lock lk(q.mu);
-    guarded_wait(*device_, lk, q.cv_data, receiver.id(), "udn recv",
-                 [&] { return !q.packets.empty(); });
+    guarded_host_wait(*device_, lk, q.cv_data, receiver.id(), "udn recv",
+                      [&] { return !q.packets.empty(); });
     pkt = std::move(q.packets.front());
     q.packets.pop_front();
     q.buffered_words -= pkt.payload.size();

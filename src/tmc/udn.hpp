@@ -112,7 +112,9 @@ class UdnFabric {
   /// protocol layers that match packets out of order: a packet that gets
   /// stashed for later must not drag the clock to its arrival time (that
   /// would make virtual time depend on host scheduling). The caller
-  /// advances to pkt.arrival_ps when it actually consumes a packet.
+  /// advances to pkt.arrival_ps when it actually consumes a packet, and
+  /// reports the receive's kWaitBegin/kWaitEnd bracket: this pull reports
+  /// no probe event.
   UdnPacket recv_raw(Tile& receiver, int queue);
 
   /// Pure wire-latency query (no state change): virtual time for a packet

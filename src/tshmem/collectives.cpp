@@ -41,12 +41,8 @@ void Context::broadcast(void* target, const void* source, std::size_t bytes,
   if (root_index < 0 || root_index >= as.pe_size) {
     throw std::out_of_range("broadcast: root index outside active set");
   }
-  obs::ScopedVtTimer vt_metric(tile_->clock(),
-                               met_ ? met_->collective_wait_ps : nullptr,
-                               met_ ? met_->broadcast_calls : nullptr);
   const tilesim::ProbeSpan probe(*tile_, tilesim::ProbeKind::kBroadcast,
                                 "shmem_broadcast");
-  if (met_) met_->broadcast_bytes->add(bytes);
   tile_->clock().advance(rt_->config().shmem_call_overhead_ps);
   probe.event(tile_->clock().now(), as.pe_at(root_index), bytes);
   const std::uint32_t seq = next_collective_seq(as);
@@ -182,12 +178,8 @@ void Context::collect_engine(void* target, const void* source,
   if (!as.contains(pe_)) {
     throw std::invalid_argument("collect: calling PE not in active set");
   }
-  obs::ScopedVtTimer vt_metric(tile_->clock(),
-                               met_ ? met_->collective_wait_ps : nullptr,
-                               met_ ? met_->collect_calls : nullptr);
   const tilesim::ProbeSpan probe(*tile_, tilesim::ProbeKind::kCollect,
                                 "shmem_collect");
-  if (met_) met_->collect_bytes->add(my_bytes);
   tile_->clock().advance(rt_->config().shmem_call_overhead_ps);
   const std::uint32_t seq = next_collective_seq(as);
   const int n = as.pe_size;
@@ -324,12 +316,8 @@ void Context::reduce_engine(void* target, const void* source,
   if (!as.contains(pe_)) {
     throw std::invalid_argument("reduce: calling PE not in active set");
   }
-  obs::ScopedVtTimer vt_metric(tile_->clock(),
-                               met_ ? met_->collective_wait_ps : nullptr,
-                               met_ ? met_->reduce_calls : nullptr);
   const tilesim::ProbeSpan probe(*tile_, tilesim::ProbeKind::kReduce,
                                 "shmem_reduce");
-  if (met_) met_->reduce_bytes->add(nreduce * elem_size);
   tile_->clock().advance(rt_->config().shmem_call_overhead_ps);
   const std::uint32_t seq = next_collective_seq(as);
   const int n = as.pe_size;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "obs/timeseries.hpp"
 #include "sim/fault.hpp"
 #include "sim/mem_model.hpp"
 #include "sim/probe.hpp"
@@ -27,42 +26,7 @@ Context::Context(Runtime& rt, int pe, Tile& tile, std::byte* partition,
       private_base_(private_arena),
       private_bytes_(private_bytes),
       heap_(partition, partition_bytes),
-      barrier_algo_(rt.barrier_algo()) {
-  if (rt.metrics_enabled()) {
-    obs::MetricsRegistry& reg = rt.metrics_registry();
-    met_ = std::make_unique<PeMetrics>(PeMetrics{
-        obs::counter_handle(reg, "shmem.put.calls", pe),
-        obs::counter_handle(reg, "shmem.put.bytes", pe),
-        obs::histogram_handle(reg, "shmem.put.latency_ps", pe),
-        obs::counter_handle(reg, "shmem.get.calls", pe),
-        obs::counter_handle(reg, "shmem.get.bytes", pe),
-        obs::histogram_handle(reg, "shmem.get.latency_ps", pe),
-        obs::counter_handle(reg, "shmem.barrier.calls", pe),
-        obs::histogram_handle(reg, "shmem.barrier.wait_ps", pe),
-        obs::counter_handle(reg, "shmem.broadcast.calls", pe),
-        obs::counter_handle(reg, "shmem.broadcast.bytes", pe),
-        obs::counter_handle(reg, "shmem.collect.calls", pe),
-        obs::counter_handle(reg, "shmem.collect.bytes", pe),
-        obs::counter_handle(reg, "shmem.reduce.calls", pe),
-        obs::counter_handle(reg, "shmem.reduce.bytes", pe),
-        obs::histogram_handle(reg, "shmem.collective.wait_ps", pe),
-        obs::counter_handle(reg, "shmem.atomic.calls", pe),
-        obs::counter_handle(reg, "shmem.lock.ops", pe),
-        obs::counter_handle(reg, "shmem.wait.calls", pe),
-        obs::histogram_handle(reg, "shmem.wait.latency_ps", pe),
-        obs::counter_handle(reg, "shmem.heap.alloc.calls", pe),
-        obs::counter_handle(reg, "shmem.heap.free.calls", pe),
-        obs::counter_handle(reg, "shmem.interrupt.services", pe),
-        obs::counter_handle(reg, "shmem.nbi.issued", pe),
-        obs::counter_handle(reg, "shmem.nbi.retired", pe),
-        obs::counter_handle(reg, "shmem.nbi.bytes", pe),
-        obs::gauge_handle(reg, "shmem.nbi.queue_depth", pe),
-        obs::histogram_handle(reg, "shmem.nbi.quiet_wait_ps", pe),
-        obs::histogram_handle(reg, "shmem.nbi.overlap_pct", pe),
-        obs::counter_handle(reg, "recovery.nbi.sync_fallbacks", pe),
-    });
-  }
-}
+      barrier_algo_(rt.barrier_algo()) {}
 
 // ===========================================================================
 // Address classification & translation (paper §IV-B)
@@ -127,7 +91,6 @@ void* Context::shmalloc(std::size_t bytes) {
   // All PEs call with the same size at the same point, keeping the heaps
   // implicitly symmetric; the implicit barrier enforces the rendezvous.
   rt_->note_op(pe_, "shmalloc");
-  if (met_) met_->alloc_calls->inc();
   tile_->charge_calls(1);
   if (rt_->options().validate_symmetry) {
     rt_->check_symmetric_arg(pe_, bytes, "shmalloc(size)");
@@ -154,7 +117,6 @@ void Context::note_heap_denial(const void* p, std::size_t bytes) {
 
 void Context::shfree(void* p) {
   rt_->note_op(pe_, "shfree");
-  if (met_) met_->free_calls->inc();
   tile_->charge_calls(1);
   if (rt_->options().validate_symmetry) {
     const std::uint64_t offset =
@@ -184,21 +146,25 @@ void Context::shfree(void* p) {
 }
 
 void* Context::shrealloc(void* p, std::size_t bytes) {
-  if (met_) met_->alloc_calls->inc();
+  rt_->note_op(pe_, "shrealloc");
   tile_->charge_calls(1);
   if (race_ != nullptr && p != nullptr) {
     race_->on_heap_free(p, heap_.allocation_size(p));
   }
   void* out = heap_.realloc(p, bytes);
+  tilesim::probe_event(*tile_, {ProbeKind::kAlloc, "shrealloc",
+                                tile_->clock().now(), -1, bytes});
   barrier_all();
   return out;
 }
 
 void* Context::shmemalign(std::size_t alignment, std::size_t bytes) {
-  if (met_) met_->alloc_calls->inc();
+  rt_->note_op(pe_, "shmemalign");
   tile_->charge_calls(1);
   void* p = heap_.memalign(alignment, bytes);
   note_heap_denial(p, bytes);
+  tilesim::probe_event(*tile_, {ProbeKind::kAlloc, "shmemalign",
+                                tile_->clock().now(), -1, bytes});
   barrier_all();
   return p;
 }
@@ -297,17 +263,9 @@ void Context::transfer(void* target, const void* source, std::size_t bytes,
   if (pe < 0 || pe >= num_pes()) {
     throw std::out_of_range("put/get: PE out of range");
   }
-  obs::ScopedVtTimer vt_metric(
-      tile_->clock(),
-      met_ ? (is_put ? met_->put_latency_ps : met_->get_latency_ps)
-           : nullptr);
   const tilesim::ProbeSpan probe(
       *tile_, is_put ? ProbeKind::kPut : ProbeKind::kGet,
       is_put ? "shmem_put" : "shmem_get");
-  if (met_) {
-    (is_put ? met_->put_calls : met_->get_calls)->inc();
-    (is_put ? met_->put_bytes : met_->get_bytes)->add(bytes);
-  }
   tile_->clock().advance(rt_->config().shmem_call_overhead_ps);
   // One event per call at issue time, regardless of which servicing path
   // (local copy / interrupt / bounce) the transfer takes below.
@@ -387,7 +345,6 @@ void Context::transfer(void* target, const void* source, std::size_t bytes,
     const void* src =
         is_put ? source
                : static_cast<const void*>(remote_addr(source, pe));
-    if (met_) met_->interrupt_services->inc();
     rt_->interrupts().raise(*tile_, pe, [&](Tile& remote) {
       CopyRequest req;
       req.bytes = bytes;
@@ -418,7 +375,6 @@ void Context::transfer(void* target, const void* source, std::size_t bytes,
     charge_local_copy(bytes, MemSpace::kShared, MemSpace::kPrivate, hints);
     std::memcpy(bounce, source, bytes);
     void* dst = remote_addr(target, pe);
-    if (met_) met_->interrupt_services->inc();
     rt_->interrupts().raise(*tile_, pe, [&](Tile& remote) {
       CopyRequest req;
       req.bytes = bytes;
@@ -432,7 +388,6 @@ void Context::transfer(void* target, const void* source, std::size_t bytes,
   } else {
     // Remote: its static source -> shared bounce; local: bounce -> target.
     const void* src = remote_addr(source, pe);
-    if (met_) met_->interrupt_services->inc();
     rt_->interrupts().raise(*tile_, pe, [&](Tile& remote) {
       CopyRequest req;
       req.bytes = bytes;
@@ -500,7 +455,7 @@ void Context::transfer_nbi(void* target, const void* source,
       fault->dma_desc_fails(pe_, tile_->clock().now())) {
     // Injected descriptor-post failure: degrade gracefully to a blocking
     // transfer (a valid NBI implementation) instead of losing the data.
-    if (met_) met_->nbi_sync_fallbacks->inc();
+    // The fault log's entry is the recovery.nbi.sync_fallbacks count.
     transfer(target, source, bytes, pe, is_put, {});
     return;
   }
@@ -538,12 +493,6 @@ void Context::transfer_nbi(void* target, const void* source,
                         is_put ? "shmem_put_nbi" : "shmem_get_nbi",
                         d.start_ps, d.complete_ps);
   }
-  if (met_) {
-    met_->nbi_issued->inc();
-    met_->nbi_bytes->add(bytes);
-    met_->nbi_queue_depth->set(
-        static_cast<std::int64_t>(tile_->dma().pending()));
-  }
   probe.event(tile_->clock().now(), pe, bytes);
 }
 
@@ -577,21 +526,6 @@ void Context::quiet() {
     // at ourselves: the bound is our earlier issue stream, not another PE.
     tilesim::probe_wait_edge(*tile_, pe_, ProbeKind::kDmaDrain,
                              "dma_drain", before, drained.max_complete_ps);
-    if (met_) {
-      met_->nbi_retired->add(drained.retired);
-      met_->nbi_queue_depth->set(0);
-      const ps_t wait = drained.max_complete_ps > before
-                            ? drained.max_complete_ps - before
-                            : 0;
-      met_->nbi_quiet_wait_ps->record(wait);
-      if (drained.busy_ps > 0) {
-        // How much of the engine's transfer time was hidden behind
-        // computation since issue (100 = fully overlapped).
-        const ps_t hidden =
-            drained.busy_ps > wait ? drained.busy_ps - wait : 0;
-        met_->nbi_overlap_pct->record(100 * hidden / drained.busy_ps);
-      }
-    }
   }
   // tmc_mem_fence(): blocks until all memory stores are visible. With an
   // empty DMA queue this is the whole operation — the pre-NBI behavior,
@@ -636,8 +570,14 @@ CtrlMsg Context::recv_ctrl(int queue, MsgTag tag, int src_pe,
   // The clock advances only when the *matching* message is consumed; a
   // message stashed for later must not drag this PE's clock to its own
   // arrival time (virtual time would then depend on host scheduling).
+  // For the same reason the receive reports one wait bracket at its entry
+  // clock, stash or fabric alike: how many raw pulls a match takes depends
+  // on host arrival order, so recv_raw reports none.
   const tilesim::ps_t wait_begin = tile_->clock().now();
+  tilesim::probe_event(*tile_, {ProbeKind::kWaitBegin, "udn recv", wait_begin});
   auto consume = [&](int src, tilesim::ps_t arrival) {
+    tilesim::probe_event(*tile_,
+                         {ProbeKind::kWaitEnd, "udn recv", wait_begin});
     if (race_ != nullptr) {
       // Join the clock snapshot of the *matched* message: the tag+FIFO
       // discipline mirrors this function's own stash-or-match logic, so the
@@ -702,11 +642,6 @@ void Context::barrier(const ActiveSet& as, BarrierAlgo algo) {
   if (!as.contains(pe_)) {
     throw std::invalid_argument("barrier: calling PE not in active set");
   }
-  // Wait time = virtual time across the whole barrier (arrival skew plus
-  // the algorithm's release latency).
-  obs::ScopedVtTimer vt_metric(tile_->clock(),
-                               met_ ? met_->barrier_wait_ps : nullptr,
-                               met_ ? met_->barrier_calls : nullptr);
   const tilesim::ProbeSpan probe(*tile_, ProbeKind::kBarrier, "shmem_barrier");
   const ps_t bar_begin = tile_->clock().now();
   // A barrier also completes outstanding puts (OpenSHMEM semantics).
@@ -728,8 +663,6 @@ void Context::barrier(const ActiveSet& as, BarrierAlgo algo) {
   // bytes carries the barrier's virtual duration (arrival skew + release).
   const ps_t bar_end = tile_->clock().now();
   probe.event(bar_end, -1, static_cast<std::uint64_t>(bar_end - bar_begin));
-  obs::ts_sample(ts_, "shmem.barrier.ps", bar_end,
-                 static_cast<std::uint64_t>(bar_end - bar_begin));
 }
 
 void Context::barrier_linear(const ActiveSet& as, std::uint32_t seq) {
@@ -868,7 +801,6 @@ void Context::atomic_engine(void* target, int pe, std::size_t bytes,
   if (cls == AddrClass::kOther) {
     throw std::invalid_argument("atomic: target is not a symmetric object");
   }
-  if (met_) met_->atomic_calls->inc();
   const tilesim::ProbeSpan probe(*tile_, ProbeKind::kAtomic, site);
   charge_atomic(pe);
   if (race_ != nullptr) {
@@ -885,7 +817,6 @@ void Context::atomic_engine(void* target, int pe, std::size_t bytes,
   }
   // Static symmetric object on a remote PE: service via UDN interrupt.
   void* addr = remote_addr(target, pe);
-  if (met_) met_->interrupt_services->inc();
   rt_->interrupts().raise(*tile_, pe, [&](Tile& remote) {
     remote.clock().advance(rt_->config().cycle_ps() * 8);
     rt_->note_delivery(pe, remote.clock().now());
@@ -900,7 +831,6 @@ void Context::atomic_engine(void* target, int pe, std::size_t bytes,
 
 void Context::set_lock(long* lock) {
   rt_->note_op(pe_, "shmem_set_lock");
-  if (met_) met_->lock_ops->inc();
   // Each failed CAS is a full attempt (it advances virtual time via the
   // atomic cost model); the guarded spin bounds the retry loop with the
   // watchdog like every other blocking wait in the tree.
@@ -929,7 +859,6 @@ void Context::set_lock(long* lock) {
 
 void Context::clear_lock(long* lock) {
   rt_->note_op(pe_, "shmem_clear_lock");
-  if (met_) met_->lock_ops->inc();
   quiet();  // spec: releases after outstanding stores complete
   atomic_engine(lock, 0, sizeof(long), "shmem_clear_lock", [&](void* addr) {
     std::atomic_ref<long> ref(*static_cast<long*>(addr));
@@ -945,7 +874,6 @@ void Context::clear_lock(long* lock) {
 }
 
 int Context::test_lock(long* lock) {
-  if (met_) met_->lock_ops->inc();
   long prev = 0;
   atomic_engine(lock, 0, sizeof(long), "shmem_test_lock", [&](void* addr) {
     std::atomic_ref<long> ref(*static_cast<long*>(addr));

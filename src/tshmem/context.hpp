@@ -17,8 +17,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/scoped_timer.hpp"
 #include "sim/clock.hpp"
 #include "sim/guarded_wait.hpp"
 #include "sim/probe.hpp"
@@ -41,43 +39,6 @@ enum class AddrClass : std::uint8_t {
 struct CopyHints {
   int readers = 1;  ///< concurrent streams reading the (shared) source
   int writers = 1;  ///< concurrent streams writing the (shared) target
-};
-
-/// Per-PE metric handles, resolved once at Context construction when the
-/// runtime has metrics enabled (RuntimeOptions::metrics / TSHMEM_METRICS).
-/// Every pointer targets a registry-owned instrument; updates are relaxed
-/// atomics and never advance virtual time. See docs/OBSERVABILITY.md for
-/// the full metric catalogue.
-struct PeMetrics {
-  obs::Counter* put_calls;
-  obs::Counter* put_bytes;
-  obs::Log2Histogram* put_latency_ps;
-  obs::Counter* get_calls;
-  obs::Counter* get_bytes;
-  obs::Log2Histogram* get_latency_ps;
-  obs::Counter* barrier_calls;
-  obs::Log2Histogram* barrier_wait_ps;
-  obs::Counter* broadcast_calls;
-  obs::Counter* broadcast_bytes;
-  obs::Counter* collect_calls;
-  obs::Counter* collect_bytes;
-  obs::Counter* reduce_calls;
-  obs::Counter* reduce_bytes;
-  obs::Log2Histogram* collective_wait_ps;
-  obs::Counter* atomic_calls;
-  obs::Counter* lock_ops;
-  obs::Counter* wait_calls;
-  obs::Log2Histogram* wait_ps;
-  obs::Counter* alloc_calls;
-  obs::Counter* free_calls;
-  obs::Counter* interrupt_services;
-  obs::Counter* nbi_issued;
-  obs::Counter* nbi_retired;
-  obs::Counter* nbi_bytes;
-  obs::Gauge* nbi_queue_depth;
-  obs::Log2Histogram* nbi_quiet_wait_ps;
-  obs::Log2Histogram* nbi_overlap_pct;
-  obs::Counter* nbi_sync_fallbacks;  ///< recovery.nbi.sync_fallbacks
 };
 
 class Context {
@@ -320,9 +281,7 @@ class Context {
   SymHeap heap_;
   BarrierAlgo barrier_algo_;
   bool finalized_ = false;
-  std::unique_ptr<PeMetrics> met_;  ///< null when metrics are disabled
   analysis::RaceDetector* race_ = nullptr;  ///< tshmem-check (set by Runtime)
-  obs::TimeSeries* ts_ = nullptr;  ///< windowed telemetry (set by Runtime)
 
   std::map<std::uint32_t, std::uint32_t> barrier_seq_;   // active-set id -> seq
   std::map<std::uint32_t, std::uint32_t> collective_seq_;
@@ -423,8 +382,6 @@ template <typename T>
 void Context::wait_until(volatile T* ivar, Cmp cmp, T value) {
   static_assert(std::is_trivially_copyable_v<T>);
   rt_->note_op(pe_, "shmem_wait_until");
-  obs::ScopedVtTimer vt_metric(clock(), met_ ? met_->wait_ps : nullptr,
-                               met_ ? met_->wait_calls : nullptr);
   // The op is reported as the kWaitEnd that closes the guarded spin's
   // kWaitBegin below.
   const tilesim::ProbeSpan probe(*tile_, tilesim::ProbeKind::kWaitEnd,

@@ -155,6 +155,8 @@ Runtime::Runtime(const DeviceConfig& cfg, RuntimeOptions opts)
     // The analytic MemModel is the timing hot path; the cache probes only
     // mirror the access stream to produce hit/miss counts for the scrape.
     device_.enable_cache_probes();
+    op_metrics_ = std::make_unique<obs::OpMetrics>(device_, registry_);
+    device_.attach_probe(op_metrics_.get());
   }
 
   profile_enabled_ = bool_env("TSHMEM_PROFILE", opts.profile);
@@ -163,27 +165,22 @@ Runtime::Runtime(const DeviceConfig& cfg, RuntimeOptions opts)
     device_.attach_probe(profiler_.get());
   }
 
-  // Flight recorder / time series (docs/OBSERVABILITY.md). A window width
-  // or a blackbox path implies the recorder: the aggregator is fed by the
-  // recorder's tap, and a post-mortem dump needs rings to dump.
-  flightrec_enabled_ = bool_env("TSHMEM_FLIGHTREC", opts.flightrec);
-  long long ts_window = ll_env(
-      "TSHMEM_TIMESERIES_WINDOW_PS",
-      static_cast<long long>(opts.timeseries_window_ps));
-  if (ts_window < 0) ts_window = 0;
-  timeseries_window_ps_ = static_cast<ps_t>(ts_window);
+  // Flight recorder / time series (docs/OBSERVABILITY.md): independent
+  // consumers, except that a blackbox path implies the recorder — a
+  // post-mortem dump needs rings to dump.
   blackbox_path_ = str_env("TSHMEM_BLACKBOX", opts.blackbox_path);
-  if (timeseries_window_ps_ > 0 || !blackbox_path_.empty()) {
-    flightrec_enabled_ = true;
-  }
-  if (flightrec_enabled_) {
+  if (bool_env("TSHMEM_FLIGHTREC", opts.flightrec) || !blackbox_path_.empty()) {
     flightrec_ = std::make_unique<obs::FlightRecorder>(
         device_, opts.flightrec_capacity);
-    if (timeseries_window_ps_ > 0) {
-      timeseries_ = std::make_unique<obs::TimeSeries>(timeseries_window_ps_);
-      flightrec_->set_tap(timeseries_.get());
-    }
     device_.attach_probe(flightrec_.get());
+  }
+  const long long ts_window =
+      ll_env("TSHMEM_TIMESERIES_WINDOW_PS",
+             static_cast<long long>(opts.timeseries_window_ps));
+  if (ts_window > 0) {
+    timeseries_ = std::make_unique<obs::TimeSeries>(
+        device_, static_cast<ps_t>(ts_window));
+    device_.attach_probe(timeseries_.get());
   }
 
   debug_validation_ = bool_env("TSHMEM_DEBUG", opts.debug_validation);
@@ -432,16 +429,16 @@ void Runtime::setup_job(int npes) {
       ctx->race_ = race_detector_.get();
     }
   }
-  if (timeseries_ != nullptr) {
-    for (auto& ctx : contexts_) {
-      ctx->ts_ = timeseries_.get();
-    }
-  }
+  if (op_metrics_ != nullptr) op_metrics_->begin_job(npes);
   // Fixed for the whole job: a PE on the message path and one in the
   // rendezvous would never meet. Fault plans inject drops and delays on
-  // individual tokens, and probes observe each one.
+  // individual tokens, and most probes record each one.
   token_rendezvous_ =
-      device_.fault() == nullptr && device_.probes().empty();
+      device_.fault() == nullptr &&
+      std::none_of(device_.probes().begin(), device_.probes().end(),
+                   [](const tilesim::Probe* p) {
+                     return p->records_messages();
+                   });
 }
 
 void Runtime::teardown_job() {
@@ -582,14 +579,37 @@ void Runtime::scrape_run_stats() {
   if (scraped_udn_.size() != tiles) {
     scraped_udn_.assign(tiles, {});
     scraped_cache_.assign(tiles, {});
+    scraped_interrupts_.assign(tiles, 0);
   }
   auto delta = [](std::uint64_t cur, std::uint64_t& prev) {
     const std::uint64_t d = cur - prev;
     prev = cur;
     return d;
   };
+  // Injected-fault families: the engine log is cumulative across runs, so
+  // scrape this run's new events per (site, tile).
+  std::map<std::pair<int, int>, std::uint64_t> new_faults;
+  if (fault_engine_ != nullptr) {
+    std::map<std::pair<int, int>, std::uint64_t> counts;
+    for (const tilesim::FaultEvent& ev : fault_engine_->events()) {
+      ++counts[{static_cast<int>(ev.site), ev.tile}];
+    }
+    for (const auto& [key, cur] : counts) {
+      std::uint64_t& prev = scraped_fault_[key];
+      if (cur > prev) new_faults[key] = cur - prev;
+      prev = cur;
+    }
+  }
   for (int pe = 0; pe < npes_; ++pe) {
     const Tile& tile = device_.tile(pe);
+    obs::add_count(registry_, "shmem.interrupt.services", pe,
+                   delta(intc_.raised(pe),
+                         scraped_interrupts_[static_cast<std::size_t>(pe)]));
+    // Each rejected descriptor post completed its NBI transfer blocking.
+    const auto fallbacks = new_faults.find(
+        {static_cast<int>(tilesim::FaultSite::kDmaDescFail), pe});
+    obs::add_count(registry_, "recovery.nbi.sync_fallbacks", pe,
+                   fallbacks != new_faults.end() ? fallbacks->second : 0);
     // busy/idle cover the interval since the last clock reset — with
     // harness_sync_reset() benches, the final measured phase.
     obs::add_count(registry_, "sim.tile.busy_ps", pe, tile.clock().busy_ps());
@@ -676,24 +696,13 @@ void Runtime::scrape_run_stats() {
                    rs.dropped_reports);
   }
 
-  // Injected-fault families: one counter per (site, tile) that fired. The
-  // engine log is cumulative across runs, so scrape deltas per key.
-  if (fault_engine_ != nullptr) {
-    std::map<std::pair<int, int>, std::uint64_t> counts;
-    for (const tilesim::FaultEvent& ev : fault_engine_->events()) {
-      ++counts[{static_cast<int>(ev.site), ev.tile}];
-    }
-    for (const auto& [key, cur] : counts) {
-      std::uint64_t& prev = scraped_fault_[key];
-      if (cur > prev) {
-        obs::add_count(registry_,
-                       std::string("fault.") +
-                           tilesim::fault_site_name(
-                               static_cast<tilesim::FaultSite>(key.first)),
-                       key.second, cur - prev);
-        prev = cur;
-      }
-    }
+  // One counter per (site, tile) that fired.
+  for (const auto& [key, n] : new_faults) {
+    obs::add_count(registry_,
+                   std::string("fault.") +
+                       tilesim::fault_site_name(
+                           static_cast<tilesim::FaultSite>(key.first)),
+                   key.second, n);
   }
 }
 

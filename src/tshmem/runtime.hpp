@@ -22,6 +22,7 @@
 #include "analysis/race.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/metrics.hpp"
+#include "obs/op_metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/device.hpp"
@@ -88,12 +89,13 @@ struct RuntimeOptions {
   /// Uses host-level synchronization only — zero virtual-time cost — so it
   /// can stay on during benchmarking without perturbing results.
   bool validate_symmetry = false;
-  /// Enable the metrics/telemetry subsystem (src/obs): per-PE counters,
-  /// gauges, and virtual-time histograms, scraped from every layer at the
-  /// end of each run(). Purely observational — instrumentation never
-  /// advances a SimClock, so virtual-time results are bit-identical with
-  /// metrics on or off. The TSHMEM_METRICS environment variable overrides
-  /// this field ("0"/"false"/"off" disable, any other value enables).
+  /// Enable the metrics/telemetry subsystem (src/obs): per-PE op counters,
+  /// gauges, and virtual-time histograms from the obs::OpMetrics probe
+  /// consumer, plus every layer's own counts scraped at the end of each
+  /// run(). Purely observational — instrumentation never advances a
+  /// SimClock, so virtual-time results are bit-identical with metrics on
+  /// or off. The TSHMEM_METRICS environment variable overrides this field
+  /// ("0"/"false"/"off" disable, any other value enables).
   bool metrics = false;
   /// Enable the virtual-time critical-path profiler (src/obs/profiler;
   /// docs/PROFILING.md): per-PE span stacks, wait-for edges, and a
@@ -148,9 +150,9 @@ struct RuntimeOptions {
   /// Fixed virtual-time window width for the time-series aggregator
   /// (src/obs/timeseries): per-window event counts and latency quantiles,
   /// exported as tshmem.timeseries.v1. 0 disables. A positive width
-  /// implies flightrec (the recorder feeds the aggregator's "event.*"
-  /// series and forwards epoch folds). The TSHMEM_TIMESERIES_WINDOW_PS
-  /// environment variable overrides this field.
+  /// attaches an obs::TimeSeries probe consumer, which counts the
+  /// "event.*" series and folds epochs itself. The
+  /// TSHMEM_TIMESERIES_WINDOW_PS environment variable overrides this field.
   ps_t timeseries_window_ps = 0;
   /// When non-empty, any tshmem::Error escaping a job (watchdog timeouts
   /// included) writes a tshmem.blackbox.v1 post-mortem dump to this path
@@ -221,9 +223,10 @@ class Runtime {
   TokenRendezvous& token_barrier_for(const ActiveSet& as);
   /// True when this job's linear token barriers run as one host rendezvous
   /// per barrier instead of 2n UDN messages. Chosen once per job in
-  /// setup_job: the messages stay whenever something observes individual
-  /// tokens or can perturb them (a probe or the fault engine attached to
-  /// the device). Both give the same virtual times and traffic counts.
+  /// setup_job: the messages stay whenever something records individual
+  /// tokens or can perturb them (a probe whose records_messages() is true,
+  /// or the fault engine). Both give the same virtual times and traffic
+  /// counts.
   [[nodiscard]] bool token_rendezvous() const noexcept {
     return token_rendezvous_;
   }
@@ -279,11 +282,6 @@ class Runtime {
   [[nodiscard]] bool metrics_enabled() const noexcept {
     return metrics_enabled_;
   }
-  /// Registry the instrumentation records into. Live even when metrics are
-  /// disabled (it just stays empty); hot paths gate on metrics_enabled().
-  [[nodiscard]] obs::MetricsRegistry& metrics_registry() noexcept {
-    return registry_;
-  }
   /// Snapshot of everything recorded so far, annotated with the device
   /// short name and the PE count of the most recent job. Valid after
   /// run() returns (the teardown scrape has completed by then).
@@ -299,11 +297,8 @@ class Runtime {
   [[nodiscard]] obs::Profiler* profiler() noexcept { return profiler_.get(); }
 
   // --- flight recorder / time series (src/obs; docs/OBSERVABILITY.md) ------
-  [[nodiscard]] bool flightrec_enabled() const noexcept {
-    return flightrec_enabled_;
-  }
   /// Flight recorder attached to this runtime's device; nullptr unless the
-  /// flightrec option / TSHMEM_FLIGHTREC (or an implying option) enabled it.
+  /// flightrec option / TSHMEM_FLIGHTREC (or a blackbox path) enabled it.
   [[nodiscard]] obs::FlightRecorder* flightrec() noexcept {
     return flightrec_.get();
   }
@@ -372,9 +367,8 @@ class Runtime {
   // --- metrics state -------------------------------------------------------
   bool metrics_enabled_ = false;
   bool profile_enabled_ = false;
-  bool flightrec_enabled_ = false;
-  ps_t timeseries_window_ps_ = 0;
   std::string blackbox_path_;
+  std::unique_ptr<obs::OpMetrics> op_metrics_;  // null unless metrics
   std::unique_ptr<obs::Profiler> profiler_;  // null unless profiling enabled
   std::unique_ptr<obs::TimeSeries> timeseries_;    // null unless windowed
   std::unique_ptr<obs::FlightRecorder> flightrec_; // null unless recording
@@ -385,6 +379,7 @@ class Runtime {
   // registry counters stay correct across multiple run() calls.
   std::vector<tmc::UdnFabric::TileTraffic> scraped_udn_;
   std::vector<tilesim::AccessCounts> scraped_cache_;
+  std::vector<std::uint64_t> scraped_interrupts_;
   tmc::CommonMemory::Stats scraped_cmem_;
   std::map<std::pair<int, int>, std::uint64_t> scraped_fault_;  // (site,tile)
 
@@ -399,7 +394,8 @@ class Runtime {
   void* map_with_retry(const std::string& name, std::size_t bytes,
                        tilesim::Homing homing, int tile);
   /// End-of-run scrape of layer-internal stats into the registry (UDN
-  /// traffic, cache-probe counts, busy/idle time, heap/cmem occupancy).
+  /// traffic, cache-probe counts, busy/idle time, heap/cmem occupancy,
+  /// interrupts raised, injected faults and the NBI fallbacks they forced).
   void scrape_run_stats();
 };
 

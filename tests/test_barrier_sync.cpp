@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/fault.hpp"
 #include "tshmem/context.hpp"
 #include "tshmem/runtime.hpp"
 #include "tshmem/token_barrier.hpp"
@@ -336,6 +337,40 @@ INSTANTIATE_TEST_SUITE_P(
       if (p.param.set.pe_size != 0) name += "_strided";
       return name;
     });
+
+// The rendezvous stays unless something records or perturbs individual
+// tokens: per-op metrics only count ops, so they keep it; the recorder, the
+// time series, the profiler, the race detector and a fault plan do not.
+TEST(TokenRendezvous, FollowsTheConsumerSet) {
+  const auto rendezvous = [](const tshmem::RuntimeOptions& opts) {
+    Runtime rt(tilesim::tile_gx36(), opts);
+    bool on = false;
+    rt.run(2, [&](Context& ctx) {
+      if (ctx.my_pe() == 0) on = ctx.runtime().token_rendezvous();
+      ctx.barrier_all();
+    });
+    return on;
+  };
+  tshmem::RuntimeOptions opts;
+  EXPECT_TRUE(rendezvous(opts)) << "no consumer";
+  opts.metrics = true;
+  EXPECT_TRUE(rendezvous(opts)) << "metrics alone";
+  opts = {};
+  opts.flightrec = true;
+  EXPECT_FALSE(rendezvous(opts)) << "flight recorder";
+  opts = {};
+  opts.timeseries_window_ps = 1'000'000;
+  EXPECT_FALSE(rendezvous(opts)) << "time series alone";
+  opts = {};
+  opts.profile = true;
+  EXPECT_FALSE(rendezvous(opts)) << "profiler";
+  opts = {};
+  opts.racecheck = tshmem::analysis::RaceMode::kReport;
+  EXPECT_FALSE(rendezvous(opts)) << "race detector";
+  opts = {};
+  opts.fault_plan = tilesim::FaultPlan::parse("seed=1,dma_stall=0.5:1000");
+  EXPECT_FALSE(rendezvous(opts)) << "fault plan";
+}
 
 // --- fence / quiet -------------------------------------------------------------
 

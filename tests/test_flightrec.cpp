@@ -204,22 +204,42 @@ TEST(TimeSeries, JsonReportHasSchemaAndReconcilesCounts) {
   }
 }
 
-// The recorder tap: every recorded event lands in the aggregator as an
-// "event.<kind>" count, and epoch folds are forwarded.
-TEST(TimeSeries, RecorderTapCountsEvents) {
-  TimeSeries ts(100);
-  FlightRecorder fr(2, 8);
-  fr.set_tap(&ts);
-  fr.on_event(0, {ProbeKind::kPut, "put", 10, 1, 8});
-  fr.on_event(1, {ProbeKind::kPut, "put", 110, 0, 8});
-  fr.on_event(0, {ProbeKind::kBarrier, "bar", 120, -1, 0});
-  const TimeSeriesReport rep = ts.report();
-  ASSERT_EQ(rep.series.size(), 2u);
+// The time series as a probe consumer: every event counts once in its
+// kind's "event.<kind>" series (PEs outside its cells are dropped), a
+// kBarrier event's bytes are a "shmem.barrier.ps" sample, and the
+// device-attached form folds each finished epoch itself.
+TEST(TimeSeries, CountsProbeEventsAndFoldsEpochs) {
+  TimeSeries ts(100, 2);
+  ts.on_event(0, {ProbeKind::kPut, "put", 10, 1, 8});
+  ts.on_event(1, {ProbeKind::kPut, "put", 110, 0, 8});
+  ts.on_event(0, {ProbeKind::kBarrier, "bar", 120, -1, 40});
+  ts.on_event(2, {ProbeKind::kPut, "put", 10, 1, 8});  // no cell: dropped
+  TimeSeriesReport rep = ts.report();
+  ASSERT_EQ(rep.series.size(), 3u);
   EXPECT_EQ(rep.series[0].name, "event.barrier");
   EXPECT_EQ(rep.series[0].total_count, 1u);
   EXPECT_EQ(rep.series[1].name, "event.put");
   EXPECT_EQ(rep.series[1].total_count, 2u);
   ASSERT_EQ(rep.series[1].windows.size(), 2u);
+  EXPECT_EQ(rep.series[2].name, "shmem.barrier.ps");
+  ASSERT_EQ(rep.series[2].windows.size(), 1u);
+  EXPECT_EQ(rep.series[2].windows[0].index, 1u);
+  EXPECT_EQ(rep.series[2].windows[0].sum, 40u);
+
+  tilesim::Device device(tilesim::tile_gx36());
+  TimeSeries attached(device, 100);
+  device.attach_probe(&attached);
+  device.tile(1).clock().advance(250);  // epoch extent = max tile clock
+  tilesim::probe_event(device.tile(0), {ProbeKind::kGet, "get", 50, 1, 8});
+  device.reset_clocks();
+  EXPECT_EQ(attached.epoch_base_ps(), 250);
+  tilesim::probe_event(device.tile(0), {ProbeKind::kGet, "get", 60, 1, 8});
+  device.detach_probe(&attached);
+  rep = attached.report();
+  ASSERT_EQ(rep.series.size(), 1u);
+  ASSERT_EQ(rep.series[0].windows.size(), 2u);
+  EXPECT_EQ(rep.series[0].windows[0].index, 0u);
+  EXPECT_EQ(rep.series[0].windows[1].index, 3u);  // 250 + 60 = 310
 }
 
 // ===========================================================================
@@ -305,6 +325,38 @@ TEST(Blackbox, ShardDegradationDumpsFromTheService) {
   }
   EXPECT_TRUE(degraded);
   EXPECT_TRUE(shed);
+}
+
+// A Service owning both a recorder and a time series must tear down
+// cleanly in any member order (tools/ci.sh runs this suite under ASan).
+TEST(TimeSeries, ServiceWithWindowAndRecorderTearsDownCleanly) {
+  tshmem::ClusterOptions opts;
+  opts.runtime.heap_per_pe = 8 << 20;
+  tshmem::Cluster cluster(tilesim::tile_gx36(), opts, 2);
+  svc::ServiceConfig cfg;
+  cfg.pes_per_shard = 2;
+  cfg.db.images = 32;
+  cfg.db.width = 16;
+  cfg.db.height = 16;
+  cfg.load.queries = 500;
+  cfg.load.key_space = 32;
+  cfg.flightrec = true;
+  cfg.timeseries_window_ps = 1'000'000'000;
+  TimeSeriesReport rep;
+  {
+    svc::Service service(cluster, cfg);
+    EXPECT_EQ(service.run().completed, 500u);
+    ASSERT_NE(service.flightrec(), nullptr);
+    ASSERT_NE(service.timeseries(), nullptr);
+    rep = service.timeseries()->report();
+  }
+  std::uint64_t arrivals = 0, offered = 0;
+  for (const obs::SeriesTimeline& s : rep.series) {
+    if (s.name == "event.svc_arrival") arrivals = s.total_count;
+    if (s.name == "svc.offered") offered = s.total_count;
+  }
+  EXPECT_EQ(arrivals, 500u);
+  EXPECT_EQ(offered, 500u);
 }
 
 // ===========================================================================

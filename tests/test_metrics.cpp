@@ -7,15 +7,16 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/exporters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/quantiles.hpp"
-#include "obs/scoped_timer.hpp"
-#include "sim/clock.hpp"
+#include "sim/fault.hpp"
 #include "support/json.hpp"
 #include "tshmem/context.hpp"
 #include "tshmem/runtime.hpp"
@@ -165,33 +166,6 @@ TEST(Metrics, SnapshotIsSortedByNameThenPe) {
 }
 
 // ===========================================================================
-// Scoped timer
-// ===========================================================================
-
-TEST(Metrics, ScopedVtTimerMeasuresWithoutAdvancing) {
-  tilesim::SimClock clock;
-  clock.advance(500);
-  Log2Histogram hist;
-  Counter calls;
-  {
-    obs::ScopedVtTimer t(clock, &hist, &calls);
-    clock.advance(1000);
-  }
-  EXPECT_EQ(calls.value(), 1u);
-  EXPECT_EQ(hist.count(), 1u);
-  EXPECT_EQ(hist.sum(), 1000u);
-  EXPECT_EQ(clock.now(), 1500u);  // the timer itself charged nothing
-
-  // Null histogram: fully disabled, counter untouched.
-  {
-    obs::ScopedVtTimer t(clock, nullptr, &calls);
-    clock.advance(7);
-  }
-  EXPECT_EQ(calls.value(), 1u);
-  EXPECT_EQ(hist.count(), 1u);
-}
-
-// ===========================================================================
 // JSON exporters
 // ===========================================================================
 
@@ -303,16 +277,21 @@ TEST(Metrics, ChromeTracePerfettoSmoke) {
 // ===========================================================================
 
 // A workload touching every instrumented subsystem: puts, gets, barriers,
-// a broadcast, a reduction, atomics, locks, and heap churn.
+// a broadcast, a reduction, atomics, locks, and heap churn. The put writes
+// words [0, 256) of `buf` while every read is of [256, 512), so no two PEs
+// touch one word at once (test_metrics runs under TSan in tools/ci.sh).
 void workload(tshmem::Context& ctx, std::vector<std::uint64_t>* end_ps) {
   const int npes = ctx.num_pes();
-  auto* buf = ctx.shmalloc_n<std::uint32_t>(256);
+  auto* buf = ctx.shmalloc_n<std::uint32_t>(512);
   auto* acc = ctx.shmalloc_n<std::int64_t>(1);
   auto* sum = ctx.shmalloc_n<std::int64_t>(1);
   acc[0] = 0;
+  std::vector<std::uint32_t> got(128);
   ctx.barrier_all();
-  ctx.put(buf, buf, 256 * sizeof(std::uint32_t), (ctx.my_pe() + 1) % npes);
-  ctx.get(buf, buf, 128 * sizeof(std::uint32_t), (ctx.my_pe() + 2) % npes);
+  ctx.put(buf, buf + 256, 256 * sizeof(std::uint32_t),
+          (ctx.my_pe() + 1) % npes);
+  ctx.get(got.data(), buf + 256, 128 * sizeof(std::uint32_t),
+          (ctx.my_pe() + 2) % npes);
   ctx.barrier_all();
   ctx.add(acc, std::int64_t{1}, 0);
   ctx.broadcast(buf, buf, 64 * sizeof(std::uint32_t), 0, ctx.world());
@@ -493,6 +472,182 @@ TEST(Metrics, VirtualTimeBitIdenticalWithMetricsOnOrOffNbiHeavy) {
         << "virtual time diverged on pe " << pe;
   }
   for (const std::uint64_t t : off) EXPECT_GT(t, 0u);
+}
+
+// Every per-PE shmem.* metric, as (name -> value) with a histogram's
+// sample count for its value.
+std::map<std::string, std::int64_t> shmem_metrics(const MetricsSnapshot& s,
+                                                  int pe) {
+  std::map<std::string, std::int64_t> out;
+  const auto take = [&](const std::string& name, int at, std::int64_t v) {
+    if (at == pe && name.rfind("shmem.", 0) == 0) out[name] = v;
+  };
+  for (const auto& c : s.counters) {
+    take(c.name, c.pe, static_cast<std::int64_t>(c.value));
+  }
+  for (const auto& g : s.gauges) take(g.name, g.pe, g.value);
+  for (const auto& h : s.histograms) {
+    take(h.name, h.pe, static_cast<std::int64_t>(h.count));
+  }
+  return out;
+}
+
+std::uint64_t counter_at(const MetricsSnapshot& s, const std::string& name,
+                         int pe) {
+  for (const auto& c : s.counters) {
+    if (c.name == name && c.pe == pe) return c.value;
+  }
+  ADD_FAILURE() << "missing counter " << name << " pe=" << pe;
+  return 0;
+}
+
+// Each metered op runs a known number of times on every PE of a 4-PE job;
+// the collectives (root PE 0) add their own puts and gets. Every shmem.*
+// counter, gauge and histogram count must be exactly what the ops imply.
+TEST(Metrics, EveryShmemMetricCountsItsOps) {
+  constexpr int kPes = 4;
+  tshmem::RuntimeOptions opts;
+  opts.metrics = true;
+  tshmem::Runtime rt(tilesim::tile_gx36(), opts);
+  rt.run(kPes, [](tshmem::Context& ctx) {
+    const int me = ctx.my_pe();
+    const int right = (me + 1) % kPes;
+    const int across = (me + 2) % kPes;
+    // 5 allocations, each with its implicit barrier.
+    auto* dyn = static_cast<std::uint64_t*>(ctx.shmalloc(1024));
+    void* grown = ctx.shrealloc(ctx.shmalloc(64), 256);
+    void* aligned = ctx.shmemalign(128, 256);
+    long* word = ctx.shmalloc_n<long>(2);  // [0] lock, [1] wait flag
+    auto* stat = ctx.static_sym<std::uint64_t>("metered_ops_static", 4);
+    word[0] = 0;
+    word[1] = 0;
+    std::uint64_t local[32] = {};
+    ctx.barrier_all();
+    // RMA, on disjoint words of `dyn`: 2 blocking puts, one of them to a
+    // remote static object (an interrupt), a get, and two NBI transfers
+    // that the fence leaves queued and the quiet drains.
+    ctx.put(dyn, local, 64, right);
+    ctx.get(local, dyn + 8, 32, across);
+    ctx.put(stat, dyn + 12, 16, right);
+    ctx.put_nbi(dyn + 16, local, 128, right);
+    ctx.get_nbi(local + 16, dyn + 32, 64, across);
+    ctx.fence();
+    ctx.quiet();
+    ctx.barrier_all();
+    // Collectives rooted at PE 0.
+    ctx.broadcast(dyn + 40, dyn + 48, 64, 0, ctx.world());
+    ctx.fcollect(dyn + 56, dyn + 48, 8, ctx.world());
+    ctx.collect(dyn + 64, dyn + 48, 8 * static_cast<std::size_t>(me + 1),
+                ctx.world());
+    auto* red = reinterpret_cast<long*>(dyn + 80);
+    ctx.reduce(red + 1, red, 1, tshmem::RedOp::kSum, ctx.world());
+    // Atomics on PE 0, then the lock taken in turns so no CAS fails.
+    (void)ctx.swap(reinterpret_cast<long*>(dyn + 90), long{me}, 0);
+    (void)ctx.fadd(reinterpret_cast<long*>(dyn + 91), 1L, 0);
+    for (int turn = 0; turn < kPes; ++turn) {
+      if (me == turn) {
+        ctx.set_lock(&word[0]);
+        ctx.clear_lock(&word[0]);
+        EXPECT_EQ(ctx.test_lock(&word[0]), 0);
+        ctx.clear_lock(&word[0]);
+      }
+      ctx.barrier_all();
+    }
+    ctx.p(&word[1], 1L, right);
+    ctx.wait_until(&word[1], tshmem::Cmp::kEq, 1L);
+    ctx.barrier_all();
+    ctx.shfree(word);
+    ctx.shfree(aligned);
+    ctx.shfree(grown);
+    ctx.shfree(dyn);
+  });
+
+  const MetricsSnapshot snap = rt.metrics();
+  for (int pe = 0; pe < kPes; ++pe) {
+    const bool root = pe == 0;
+    // Non-root PEs put their fcollect and collect blocks; PE 0 gets one
+    // reduction operand from each peer, the others pull the broadcast,
+    // fcollect, collect and reduction results from PE 0.
+    const std::int64_t puts = root ? 3 : 5;
+    const std::int64_t put_bytes = root ? 88 : 88 + 8 + 8 * (pe + 1);
+    const std::int64_t gets = root ? 4 : 5;
+    const std::int64_t get_bytes = root ? 32 + 3 * 8 : 32 + 64 + 32 + 80 + 8;
+    const std::map<std::string, std::int64_t> want = {
+        {"shmem.put.calls", puts},
+        {"shmem.put.bytes", put_bytes},
+        {"shmem.put.latency_ps", puts},
+        {"shmem.get.calls", gets},
+        {"shmem.get.bytes", get_bytes},
+        {"shmem.get.latency_ps", gets},
+        // 5 allocations, 4 frees, 4 lock turns and 3 explicit barriers.
+        {"shmem.barrier.calls", 16},
+        {"shmem.barrier.wait_ps", 16},
+        {"shmem.broadcast.calls", 1},
+        {"shmem.broadcast.bytes", 64},
+        {"shmem.collect.calls", 2},
+        {"shmem.collect.bytes", 8 + 8 * (pe + 1)},
+        {"shmem.reduce.calls", 1},
+        {"shmem.reduce.bytes", 8},
+        {"shmem.collective.wait_ps", 4},
+        // swap, fadd, and one CAS each for set, 2x clear and test.
+        {"shmem.atomic.calls", 6},
+        {"shmem.lock.ops", 4},
+        {"shmem.wait.calls", 1},
+        {"shmem.wait.latency_ps", 1},
+        {"shmem.heap.alloc.calls", 5},
+        {"shmem.heap.free.calls", 4},
+        {"shmem.heap.bytes_in_use", 0},
+        {"shmem.heap.blocks", 1},  // the one coalesced free block
+        {"shmem.interrupt.services", 1},
+        {"shmem.nbi.issued", 2},
+        {"shmem.nbi.bytes", 192},
+        {"shmem.nbi.retired", 2},
+        {"shmem.nbi.queue_depth", 0},
+        {"shmem.nbi.quiet_wait_ps", 1},
+        {"shmem.nbi.overlap_pct", 1},
+    };
+    EXPECT_EQ(shmem_metrics(snap, pe), want) << "pe " << pe;
+    EXPECT_EQ(counter_at(snap, "recovery.nbi.sync_fallbacks", pe), 0u);
+  }
+  const std::map<std::string, std::int64_t> device_wide = {
+      {"shmem.statics.bytes_used", 32}, {"shmem.statics.objects", 1}};
+  EXPECT_EQ(shmem_metrics(snap, -1), device_wide);
+}
+
+// NBI sync fallbacks and interrupts are counted per PE across runs: every
+// descriptor post fails here, so each put_nbi completes as a blocking put.
+TEST(Metrics, FallbacksAndInterruptsAccumulateAcrossRuns) {
+  constexpr int kPes = 2;
+  tshmem::RuntimeOptions opts;
+  opts.metrics = true;
+  opts.fault_plan = tilesim::FaultPlan::parse("dma_fail=1.0");
+  tshmem::Runtime rt(tilesim::tile_gx36(), opts);
+  const auto job = [](tshmem::Context& ctx) {
+    auto* dyn = ctx.shmalloc_n<std::uint64_t>(16);
+    auto* stat = ctx.static_sym<std::uint64_t>("fallback_static", 8);
+    std::uint64_t src[8] = {};
+    ctx.barrier_all();
+    const int peer = 1 - ctx.my_pe();
+    ctx.put_nbi(dyn, src, sizeof(src), peer);
+    ctx.put_nbi(dyn, src, sizeof(src), peer);
+    ctx.put(stat, dyn + 8, 16, peer);  // remote static: an interrupt
+    ctx.quiet();
+    ctx.barrier_all();
+    ctx.shfree(dyn);
+  };
+  for (int run = 1; run <= 2; ++run) {
+    rt.run(kPes, job);
+    const MetricsSnapshot snap = rt.metrics();
+    const auto n = static_cast<std::uint64_t>(run);
+    for (int pe = 0; pe < kPes; ++pe) {
+      EXPECT_EQ(counter_at(snap, "recovery.nbi.sync_fallbacks", pe), 2 * n)
+          << "pe " << pe << " run " << run;
+      EXPECT_EQ(counter_at(snap, "fault.dma.desc_fail", pe), 2 * n);
+      EXPECT_EQ(counter_at(snap, "shmem.nbi.issued", pe), 0u);
+      EXPECT_EQ(counter_at(snap, "shmem.put.calls", pe), 3 * n);
+      EXPECT_EQ(counter_at(snap, "shmem.interrupt.services", pe), n);
+    }
+  }
 }
 
 TEST(Metrics, EnvVarOverridesRuntimeOption) {

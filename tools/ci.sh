@@ -2,10 +2,13 @@
 # Tier-1 CI entry point: configure, build, run the unit/integration test
 # suite, then exercise the telemetry path end to end — one bench run whose
 # --metrics-json output is validated for schema shape and whose
-# --trace-json timeline must agree with its --profile-json report — and
-# finally rebuild the concurrency-sensitive suites (NBI/DMA engine, tmc +
-# tshmem barriers, collectives, runtime, UDN, device runtime, and the
-# probe's consumers: profiler, flight recorder, race detector) under
+# --trace-json timeline must agree with its --profile-json report — then a
+# telemetry identity stage (every telemetry file of fig06-fig13,
+# ext_overlap and ext_faults must stay byte-identical whichever other
+# probe consumers share the run), and finally rebuild the
+# concurrency-sensitive suites (NBI/DMA engine, tmc + tshmem barriers,
+# collectives, runtime, UDN, device runtime, and the probe's consumers:
+# metrics, profiler, flight recorder and time series, race detector) under
 # ThreadSanitizer and run them race-clean.
 #
 # After the sanitizer stages, the fault-injection campaign (bench/ext_faults)
@@ -29,9 +32,10 @@
 # share the profiler's zero-virtual-cost contract (docs/OBSERVABILITY.md).
 #
 # The serving smoke stage (docs/SERVING.md): a shortened ramped ext_serve
-# run must sustain non-zero QPS with nothing hung, and a shard-stall fault
-# plan must shed load (structured rejects) rather than hang, replaying
-# bit-identically.
+# run must sustain non-zero QPS with nothing hung, exit promptly with its
+# time series and blackbox written, and write both files bit-identically
+# twice; a shard-stall fault plan must shed load (structured rejects)
+# rather than hang, replaying bit-identically.
 #
 # The triage smoke closes the run (docs/OBSERVABILITY.md): ext_faults
 # --hang-demo strands PE 0 in shmem_wait_until under a short watchdog, the
@@ -141,10 +145,38 @@ print(f"telemetry OK: {len(m['runs'])} run(s), {len(events)} trace events, "
       f"{len(spans)} span sites match the profile, {len(flows)} flows")
 EOF
 
+echo "== telemetry identity (metrics alone / + time series + blackbox /" \
+     "+ TSHMEM_PROFILE=1)"
+# Each consumer reads the one probe stream on its own: metrics alone keep
+# the token barrier's host rendezvous, the recorder and time series switch
+# the job to token messages, and the profiler joins them. None of that may
+# move a byte of any file.
+identity_ok=1
+for b in fig06_putget_dynamic fig07_putget_static fig08_tshmem_barrier \
+         fig09_broadcast_push fig10_broadcast_pull fig11_fcollect \
+         fig12_reduction fig13_fft2d ext_overlap ext_faults; do
+  d="$tmp_dir/id_$b"
+  mkdir -p "$d"
+  "$BUILD_DIR"/bench/"$b" --metrics-json "$d/m1.json" >/dev/null
+  "$BUILD_DIR"/bench/"$b" --metrics-json "$d/m2.json" \
+    --timeseries-json "$d/t2.json" --blackbox-json "$d/b2.json" >/dev/null
+  TSHMEM_PROFILE=1 "$BUILD_DIR"/bench/"$b" --metrics-json "$d/m3.json" \
+    --timeseries-json "$d/t3.json" --blackbox-json "$d/b3.json" >/dev/null
+  if cmp -s "$d/m1.json" "$d/m2.json" && cmp -s "$d/m1.json" "$d/m3.json" &&
+     cmp -s "$d/t2.json" "$d/t3.json" && cmp -s "$d/b2.json" "$d/b3.json"
+  then
+    echo "   $b: metrics, time series and blackbox byte-identical"
+  else
+    echo "   $b: TELEMETRY MOVED WITH THE CONSUMER SET"
+    identity_ok=0
+  fi
+done
+[ "$identity_ok" = 1 ]
+
 if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync," \
        "test_collectives, test_runtime, test_udn, test_device_runtime," \
-       "test_profiler, test_flightrec, test_racecheck)"
+       "test_metrics, test_profiler, test_flightrec, test_racecheck)"
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -152,8 +184,8 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
   cmake --build "$TSAN_DIR" -j \
     --target test_nbi test_tmc_barrier test_barrier_sync test_collectives \
-    test_runtime test_udn test_device_runtime test_profiler test_flightrec \
-    test_racecheck
+    test_runtime test_udn test_device_runtime test_metrics test_profiler \
+    test_flightrec test_racecheck
   # TSan exits non-zero (66) on any reported race even when gtest passes.
   "$TSAN_DIR"/tests/test_nbi
   "$TSAN_DIR"/tests/test_tmc_barrier
@@ -175,7 +207,9 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   "$TSAN_DIR"/tests/test_barrier_sync \
     --gtest_filter='Devices/TokenRendezvousTest.*' --gtest_repeat=10
   # Every tile thread reads the device's probe list, and the race detector
-  # is attached to it once per job.
+  # is attached to it once per job. The metrics consumer and the time
+  # series keep per-tile state written by each tile's own thread.
+  "$TSAN_DIR"/tests/test_metrics
   "$TSAN_DIR"/tests/test_profiler
   "$TSAN_DIR"/tests/test_flightrec
   "$TSAN_DIR"/tests/test_racecheck
@@ -184,19 +218,24 @@ else
 fi
 
 if [ "${TSHMEM_CI_ASAN:-1}" != "0" ]; then
-  echo "== asan+ubsan (test_fault_injection, test_failure_injection, test_nbi)"
+  echo "== asan+ubsan (test_fault_injection, test_failure_injection," \
+       "test_nbi, test_flightrec)"
   ASAN_DIR="${BUILD_DIR}-asan"
   cmake -B "$ASAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
   cmake --build "$ASAN_DIR" -j \
-    --target test_fault_injection test_failure_injection test_nbi
+    --target test_fault_injection test_failure_injection test_nbi \
+    test_flightrec
   # ASan/UBSan abort on the first finding, so a clean gtest pass means a
   # clean run (including the error/exception paths the fault tests force).
   "$ASAN_DIR"/tests/test_fault_injection
   "$ASAN_DIR"/tests/test_failure_injection
   "$ASAN_DIR"/tests/test_nbi
+  # Includes a Service that owns a recorder and a time series: its
+  # teardown must touch no freed consumer.
+  "$ASAN_DIR"/tests/test_flightrec
 else
   echo "== asan+ubsan: skipped (TSHMEM_CI_ASAN=0)"
 fi
@@ -335,8 +374,18 @@ done
 echo "== serving smoke (ext_serve: ramp, shed-not-hang, replay)"
 serve_args="--queries 50000 --images 256 --pes 2"
 # Healthy ramped run: the service must sustain a non-zero QPS with every
-# offered query answered (ext_serve itself exits 1 on hung queries).
-"$BUILD_DIR"/bench/ext_serve $serve_args > "$tmp_dir/serve_ok.txt"
+# offered query answered (ext_serve itself exits 1 on hung queries), exit
+# promptly after writing its time series and blackbox, and write both
+# files byte-identically on a second run.
+for run in a b; do
+  timeout 300 "$BUILD_DIR"/bench/ext_serve $serve_args \
+    --timeseries-json "$tmp_dir/serve_ts_$run.json" \
+    --blackbox-json "$tmp_dir/serve_bb_$run.json" \
+    > "$tmp_dir/serve_ok_$run.txt"
+done
+cmp "$tmp_dir/serve_ts_a.json" "$tmp_dir/serve_ts_b.json"
+cmp "$tmp_dir/serve_bb_a.json" "$tmp_dir/serve_bb_b.json"
+cp "$tmp_dir/serve_ok_a.txt" "$tmp_dir/serve_ok.txt"
 # Degraded run: every batch on shard 1 loses 20 ms, far past the backlog
 # watchdog. The shed-not-hang verdict (docs/SERVING.md): load is refused
 # with a structured error, never stranded. Run twice and diff — one

@@ -34,7 +34,7 @@ that generic tooling (clang-tidy, TSan) cannot express:
                             go through tilesim::ProbeSpan / the
                             tilesim::probe_* helpers (sim/probe.hpp) or the
                             obs helpers (obs::add_count, obs::counter_handle,
-                            obs::fr_record, obs::ts_add, obs::ts_sample, ...)
+                            obs::ts_add, obs::ts_sample, ...)
                             so every observation site stays auditable and
                             the never-advances-a-clock contract has a single
                             enforcement surface.
@@ -319,13 +319,13 @@ class FileScanner:
     # time-series mutators and registry mutators. Registry calls match only on lines that look like registry
     # use (`reg.counter(...)`, `registry_->gauge(...)`); the sanctioned
     # spellings (tilesim::ProbeSpan, tilesim::probe_event, ...,
-    # obs::add_count, obs::counter_handle, obs::fr_record, obs::ts_add,
-    # obs::ts_sample) do not match.
+    # obs::add_count, obs::counter_handle, obs::ts_add, obs::ts_sample) do
+    # not match.
     R005_RE = re.compile(
         r"(\.|->)\s*(on_(span_begin|span_end|wait_edge|event|clock_reset"
         r"|rendezvous_arrive|rendezvous_release)"
-        r"|series_add_window|series_add|series_sample|fold_epoch"
-        r"|set_flush_hook|counter|gauge|histogram)\s*\("
+        r"|series_add|series_sample|fold_epoch|counter|gauge|histogram)"
+        r"\s*\("
     )
     R005_EXEMPT = ("src/obs/", "sim/probe.hpp", "tests/")
 
@@ -340,7 +340,7 @@ class FileScanner:
                     "direct probe callback or recorder/time-series/registry "
                     "mutation; use tilesim::ProbeSpan / tilesim::probe_* "
                     "(sim/probe.hpp) or the obs:: helpers (obs::add_count, "
-                    "obs::counter_handle, obs::fr_record, obs::ts_add, ...) "
+                    "obs::counter_handle, obs::ts_add, ...) "
                     "so the no-clock-advance contract has one enforcement "
                     "surface",
                 )
@@ -416,7 +416,7 @@ def self_test() -> int:
             "  ts->series_add(\"n\", 1, 1);\n"                # R005
             "  ts->series_sample(\"n\", 1, 2);\n"             # R005
             "  ts->fold_epoch(5);  // tshmem-lint: allow(R005)\n"  # allowed
-            "  obs::fr_record(fr, 0, k, \"s\", 1);\n"         # sanctioned
+            "  tilesim::probe_event(probes, 0, e);\n"        # sanctioned
             "  obs::ts_add(ts, \"n\", 1);\n"                  # sanctioned
             "}\n",
             {"R005": 3},
