@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
       req.bytes = size;
       req.src = tilesim::MemSpace::kShared;
       req.dst = tilesim::MemSpace::kShared;
-      req.homing = opts.partition_homing;
+      req.homing = tilesim::Homing::kHashForHome;
       const ps_t xfer_ps = mm.copy_cost_ps(req);
 
       for (const double grain : grains) {

@@ -229,16 +229,9 @@ int main(int argc, char** argv) {
               << ", completed " << rep.completed << ", shed " << rep.shed
               << " across " << tsrep.series.size() << " series)\n";
   }
-  if (!bb_path.empty()) {
-    // The service dumps on the first degradation; quiet runs still get an
-    // end-of-run snapshot so the triage tooling always has input.
-    std::ifstream probe(bb_path);
-    if (!probe.good()) {
-      std::ofstream out(bb_path);
-      service.write_blackbox(out, "serve snapshot (end of run)", 0);
-    }
-    std::cout << "wrote " << bb_path << "\n";
-  }
+  // The service wrote it: at the first degradation, else at the end of
+  // the run.
+  if (!bb_path.empty()) std::cout << "wrote " << bb_path << "\n";
 
   // Shed-not-hang invariant: every offered query was answered or refused.
   if (rep.hung != 0) {

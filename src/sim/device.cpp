@@ -1,7 +1,6 @@
 #include "sim/device.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -11,8 +10,8 @@
 #include <sched.h>
 #endif
 
-#include "sim/guarded_wait.hpp"
 #include "sim/probe.hpp"
+#include "sim/rendezvous.hpp"
 
 namespace tilesim {
 
@@ -20,34 +19,6 @@ namespace {
 thread_local Tile* g_current_tile = nullptr;
 std::atomic<int> g_running_tile_threads{0};
 }  // namespace
-
-/// host_sync's rendezvous: a generation barrier whose waits go through
-/// guarded_host_wait, so they spin like every other tile wait and the
-/// watchdog bounds them. A tile that throws drops out (drop()), so the
-/// survivors' later host_syncs still complete.
-struct Device::HostBarrier {
-  explicit HostBarrier(int parties) : members(parties) {}
-
-  /// Opens the current generation. Called with `lk` held; releases it.
-  void open(std::unique_lock<std::mutex>& lk) {
-    arrived = 0;
-    ++generation;
-    lk.unlock();
-    cv.notify_all();
-  }
-
-  void drop() {
-    std::unique_lock lk(mu);
-    --members;
-    if (arrived > 0 && arrived == members) open(lk);
-  }
-
-  std::mutex mu;
-  std::condition_variable cv;
-  int members;  ///< tiles still taking part
-  int arrived = 0;
-  std::uint64_t generation = 0;
-};
 
 Tile::Tile(Device& device, int id)
     : device_(&device),
@@ -133,14 +104,14 @@ int Device::usable_cpus() noexcept {
 }
 
 void Device::attach_probe(Probe* probe) {
-  if (host_barrier_) {
+  if (host_sync_) {
     throw std::logic_error("attach_probe called inside Device::run");
   }
   probes_.push_back(probe);
 }
 
 void Device::detach_probe(Probe* probe) {
-  if (host_barrier_) {
+  if (host_sync_) {
     throw std::logic_error("detach_probe called inside Device::run");
   }
   std::erase(probes_, probe);
@@ -164,36 +135,10 @@ void Device::reset_clocks() {
 
 void Device::host_sync() {
   Tile* self = current();
-  if (!host_barrier_ || self == nullptr || &self->device() != this) {
+  if (!host_sync_ || self == nullptr || &self->device() != this) {
     throw std::logic_error("host_sync called outside Device::run");
   }
-  HostBarrier& b = *host_barrier_;
-  std::unique_lock lk(b.mu);
-  const std::uint64_t my_generation = b.generation;
-  // A host rendezvous is a real synchronization of every active tile (it is
-  // how benchmarks separate measurement phases), so it is reported to the
-  // probes (tshmem-check) as a rendezvous. Each arrive is reported before
-  // this tile arrives, and the generation opens only after every member
-  // arrived, so all arrives complete before any release — the Probe
-  // contract.
-  probe_rendezvous_arrive(*this, &b, my_generation, self->id());
-  if (++b.arrived == b.members) {
-    b.open(lk);
-  } else {
-    try {
-      guarded_host_wait(*this, lk, b.cv, self->id(), "host_sync",
-                        [&] { return b.generation != my_generation; });
-    } catch (...) {
-      // The watchdog fired: withdraw this arrival before the tile drops
-      // out, so the tiles still waiting keep waiting for the missing one.
-      if (!lk.owns_lock()) lk.lock();
-      if (b.generation == my_generation) --b.arrived;
-      throw;
-    }
-  }
-  if (lk.owns_lock()) lk.unlock();
-  probe_rendezvous_release(*this, &b, my_generation, self->id(),
-                           active_tiles_);
+  host_sync_->arrive(*self, self->id());
 }
 
 void Device::sync_and_reset_clocks() {
@@ -210,11 +155,14 @@ void Device::run(int active_tiles, const std::function<void(Tile&)>& fn) {
   if (active_tiles < 1 || active_tiles > tile_count()) {
     throw std::invalid_argument("active_tiles must be in [1, tile_count]");
   }
-  if (host_barrier_) {
+  if (host_sync_) {
     throw std::logic_error("Device::run is not reentrant");
   }
-  active_tiles_ = active_tiles;
-  host_barrier_ = std::make_unique<HostBarrier>(active_tiles);
+  // A host rendezvous is a real synchronization of every active tile (it
+  // is how benchmarks separate measurement phases), so tshmem-check sees
+  // it as one.
+  host_sync_ = std::make_unique<Rendezvous>(active_tiles, "host_sync",
+                                            RendezvousReport::kSync);
   // Force-clear DMA engines: a previous job that threw with outstanding
   // non-blocking transfers must not leak descriptors into this one.
   for (auto& t : tiles_) t->dma().clear();
@@ -240,15 +188,14 @@ void Device::run(int active_tiles, const std::function<void(Tile&)>& fn) {
         // A dead tile must not deadlock the others on the host barrier, so
         // a throwing tile drops its participation. Benchmarks/tests treat
         // any exception as fatal and the rethrow below surfaces it.
-        host_barrier_->drop();
+        host_sync_->drop(i);
       }
       g_running_tile_threads.fetch_sub(1, std::memory_order_relaxed);
       g_current_tile = nullptr;
     });
   }
   for (auto& t : threads) t.join();
-  host_barrier_.reset();
-  active_tiles_ = 0;
+  host_sync_.reset();
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -21,7 +21,8 @@
 namespace tilesim {
 
 class Device;
-class Probe;  // sim/probe.hpp
+class Probe;       // sim/probe.hpp
+class Rendezvous;  // sim/rendezvous.hpp
 
 /// One tile of the mesh. Owned by Device; bound 1:1 to a host thread for
 /// the duration of a Device::run() call.
@@ -87,7 +88,6 @@ class Device {
   [[nodiscard]] const MemModel& mem_model() const noexcept { return mem_; }
 
   [[nodiscard]] int tile_count() const noexcept { return cfg_->tile_count(); }
-  [[nodiscard]] int active_tiles() const noexcept { return active_tiles_; }
 
   [[nodiscard]] Tile& tile(int id);
   [[nodiscard]] const Tile& tile(int id) const;
@@ -99,7 +99,8 @@ class Device {
 
   /// Harness-level (zero virtual cost) rendezvous of all active tiles.
   /// Valid only on a tile thread inside run(). Bounded by the watchdog: a
-  /// tile that never arrives surfaces as the watchdog's error.
+  /// tile that never arrives surfaces as the watchdog's error. A tile that
+  /// throws leaves it, so the survivors' later host_syncs still complete.
   void host_sync();
 
   /// Tile bound to the calling thread, or nullptr outside run().
@@ -165,14 +166,11 @@ class Device {
   }
 
  private:
-  struct HostBarrier;  // host_sync's generation barrier, one per run()
-
   const DeviceConfig* cfg_;
   Topology topo_;
   MemModel mem_;
   std::vector<std::unique_ptr<Tile>> tiles_;
-  std::unique_ptr<HostBarrier> host_barrier_;
-  int active_tiles_ = 0;
+  std::unique_ptr<Rendezvous> host_sync_;  ///< one per run()
   std::vector<Probe*> probes_;
   FaultEngine* fault_ = nullptr;
   const Watchdog* watchdog_ = nullptr;

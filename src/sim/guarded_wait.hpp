@@ -1,8 +1,8 @@
 // Watchdog-aware blocking primitives, shared by every blocking wait in the
-// tree (UDN queues, barriers, mPIPE/STN receives, SHMEM waits and locks,
-// Device::host_sync). These are the ONLY place src/ is allowed to block on
-// a condition variable, barrier, latch or atomic wait, or to spin-yield
-// (Cluster::run's two allow-listed start/finish latches aside):
+// tree (UDN queues, mPIPE/STN receives, SHMEM waits and locks, and every
+// host rendezvous through sim/rendezvous.hpp). These are the ONLY place
+// src/ is allowed to block on a condition variable, barrier, latch or
+// atomic wait, or to spin-yield:
 // tools/tshmem_lint.py (rules raw-blocking-wait and unbounded-spin)
 // machine-checks that every other blocking wait routes through here, so the
 // "every blocking wait is bounded by the watchdog" invariant of
@@ -85,11 +85,10 @@ bool spin_until(std::unique_lock<std::mutex>& lk, Pred& pred) {
 
 }  // namespace detail
 
-/// guarded_wait without the flight-recorder bracket. Device::host_sync
-/// waits through this: a harness rendezvous charges no virtual time, and
-/// the clock it would record may be reset by another tile mid-wait. So
-/// does UdnFabric::recv_raw, whose tag-matching caller brackets the whole
-/// receive once.
+/// guarded_wait without the flight-recorder bracket. tilesim::Rendezvous
+/// waits through this and brackets a member's wait itself, at the same
+/// clock whether or not the member waited. So does UdnFabric::recv_raw,
+/// whose tag-matching caller brackets the whole receive once.
 template <typename Pred>
 void guarded_host_wait(const Device& device,
                        std::unique_lock<std::mutex>& lk,
@@ -121,19 +120,6 @@ void guarded_wait(const Device& device, std::unique_lock<std::mutex>& lk,
   probe_event(self, {ProbeKind::kWaitBegin, what, wait_vt});
   guarded_host_wait(device, lk, cv, tile, what, pred);
   probe_event(self, {ProbeKind::kWaitEnd, what, wait_vt});
-}
-
-/// Nullable-device variant for components whose Device is optional (the
-/// tmc barriers): a null device degrades to the unbounded wait.
-template <typename Pred>
-void guarded_wait(const Device* device, std::unique_lock<std::mutex>& lk,
-                  std::condition_variable& cv, int tile, const char* what,
-                  Pred pred) {
-  if (device == nullptr) {
-    if (!detail::spin_until(lk, pred)) cv.wait(lk, pred);
-    return;
-  }
-  guarded_wait(*device, lk, cv, tile, what, pred);
 }
 
 /// Watchdog-aware spin loop: retries `attempt` (which may have side

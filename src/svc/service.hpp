@@ -101,7 +101,8 @@ struct ServiceConfig {
   ps_t timeseries_window_ps = 0;  ///< >0 adds windowed svc.* and event.*
                                   ///< telemetry
   std::string blackbox_path;      ///< dump a post-mortem here on the first
-                                  ///< shard degradation (implies flightrec)
+                                  ///< shard degradation, else at the end of
+                                  ///< run() (implies flightrec)
 };
 
 /// Batch cost model measured on the real replica device (virtual time).
@@ -173,11 +174,6 @@ class Service {
   /// Phase 1 for one replica: a real cluster job on its own device,
   /// returning that replica's independent cost model.
   ShardCalibration calibrate_replica(int shard, int replica);
-
-  /// Primary-replica convenience (the PR-6 surface).
-  ShardCalibration calibrate_shard(int shard) {
-    return calibrate_replica(shard, 0);
-  }
 
   /// Calibrates every shard, then runs the serve loop to completion.
   ServiceReport run();

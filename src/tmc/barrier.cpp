@@ -3,85 +3,43 @@
 #include <atomic>
 #include <stdexcept>
 
-#include "sim/guarded_wait.hpp"
 #include "sim/probe.hpp"
 
 namespace tmc {
 
-VtBarrier::VtBarrier(int parties, ReleaseFn release_fn, const Device* device)
-    : parties_(parties), release_fn_(std::move(release_fn)), device_(device) {
-  if (parties < 1) {
-    throw std::invalid_argument("VtBarrier needs at least one party");
-  }
+VtBarrier::VtBarrier(int parties, ReleaseFn release_fn)
+    : release_fn_(std::move(release_fn)),
+      meet_(parties, "barrier wait",
+            tilesim::RendezvousReport::kSyncAndWait) {
   if (!release_fn_) {
     throw std::invalid_argument("VtBarrier needs a release function");
   }
 }
 
-std::uint64_t VtBarrier::waits() const {
-  std::scoped_lock lk(mu_);
-  return waits_;
-}
-
-void VtBarrier::wait(Tile& self) {
+void VtBarrier::wait(Tile& self, int index) {
   const ps_t arrival = self.clock().now();
-  std::unique_lock lk(mu_);
-  ++waits_;
-  // Track which tile produced max_arrival_ so the profiler's release edge
-  // can name its producer. Strictly-later arrival wins; ties keep the
-  // lowest tile id so the attribution is deterministic across schedules.
-  if (arrived_ == 0 || arrival > max_arrival_ ||
-      (arrival == max_arrival_ && self.id() < max_arrival_tile_)) {
-    max_arrival_ = std::max(max_arrival_, arrival);
-    max_arrival_tile_ = self.id();
-  }
-  const std::uint64_t my_generation = generation_;
-  // Arrivals are reported under the barrier lock — every arrive completes
-  // before any release — so tshmem-check's all-join is deterministic.
-  if (device_ != nullptr) {
-    tilesim::probe_rendezvous_arrive(*device_, this, my_generation,
-                                     self.id());
-  }
-  if (++arrived_ == parties_) {
-    release_time_ = release_fn_(max_arrival_, parties_);
-    release_src_ = max_arrival_tile_;
-    arrived_ = 0;
-    max_arrival_ = 0;
-    max_arrival_tile_ = -1;
-    ++generation_;
-    const int release_src = release_src_;
-    lk.unlock();
-    cv_.notify_all();
-    if (device_ != nullptr) {
-      tilesim::probe_rendezvous_release(*device_, this, my_generation,
-                                        self.id(), parties_);
+  meet_.arrive(self, index, [&](std::span<const ps_t> clocks,
+                                std::span<const int> tiles) {
+    // Name the latest arriver as the release's producer (the profiler's
+    // edge). Ties keep the lowest member, the lowest tile, so the
+    // attribution is the same on every schedule.
+    std::size_t src = 0;
+    for (std::size_t i = 1; i < clocks.size(); ++i) {
+      if (clocks[i] > clocks[src]) src = i;
     }
-    self.clock().advance_to(release_time_);
-    tilesim::probe_wait_edge(self, release_src, tilesim::ProbeKind::kBarrier,
-                             "tmc_barrier", arrival, self.clock().now());
-    return;
-  }
-  tilesim::guarded_wait(device_, lk, cv_, self.id(), "barrier wait",
-                        [&] { return generation_ != my_generation; });
-  const ps_t release = release_time_;
-  const int release_src = release_src_;
-  lk.unlock();
-  if (device_ != nullptr) {
-    tilesim::probe_rendezvous_release(*device_, this, my_generation,
-                                      self.id(), parties_);
-  }
-  self.clock().advance_to(release);
-  tilesim::probe_wait_edge(self, release_src, tilesim::ProbeKind::kBarrier,
+    release_time_ = release_fn_(clocks[src], parties());
+    release_src_ = tiles[src];
+  });
+  self.clock().advance_to(release_time_);
+  tilesim::probe_wait_edge(self, release_src_, tilesim::ProbeKind::kBarrier,
                            "tmc_barrier", arrival, self.clock().now());
 }
 
 SpinBarrier::SpinBarrier(Device& device, int parties)
-    : barrier_(
-          parties,
-          [cfg = &device.config()](ps_t max_arrival, int n) -> ps_t {
-            return max_arrival + model_latency_ps(*cfg, n);
-          },
-          &device) {}
+    : barrier_(parties,
+               [cfg = &device.config()](ps_t max_arrival, int n) -> ps_t {
+                 return max_arrival + model_latency_ps(*cfg, n);
+               }) {}
 
 ps_t SpinBarrier::model_latency_ps(const tilesim::DeviceConfig& cfg,
                                    int parties) {
@@ -90,12 +48,10 @@ ps_t SpinBarrier::model_latency_ps(const tilesim::DeviceConfig& cfg,
 }
 
 SyncBarrier::SyncBarrier(Device& device, int parties)
-    : barrier_(
-          parties,
-          [cfg = &device.config()](ps_t max_arrival, int n) -> ps_t {
-            return max_arrival + model_latency_ps(*cfg, n);
-          },
-          &device) {}
+    : barrier_(parties,
+               [cfg = &device.config()](ps_t max_arrival, int n) -> ps_t {
+                 return max_arrival + model_latency_ps(*cfg, n);
+               }) {}
 
 ps_t SyncBarrier::model_latency_ps(const tilesim::DeviceConfig& cfg,
                                    int parties) {

@@ -1,7 +1,7 @@
 // TMC spin and sync barriers (paper §III-D).
 //
-// Functionally both are real rendezvous barriers over mutex/condvar. Their
-// virtual-time models differ:
+// Functionally both are real rendezvous barriers (tilesim::Rendezvous).
+// Their virtual-time models differ:
 //   - the spin barrier polls a shared counter: low overhead, cost grows
 //     with the number of participating tiles (coherence traffic on the
 //     counter line);
@@ -10,11 +10,10 @@
 // Every participant leaves with clock = max(arrival clocks) + model(n).
 #pragma once
 
-#include <condition_variable>
 #include <functional>
-#include <mutex>
 
 #include "sim/device.hpp"
+#include "sim/rendezvous.hpp"
 
 namespace tmc {
 
@@ -23,48 +22,41 @@ using tilesim::ps_t;
 using tilesim::Tile;
 
 /// Reusable rendezvous that gathers the participants' virtual arrival times
-/// and releases everyone at `release_fn(max_arrival, parties)`.
+/// and releases everyone at `release_fn(max_arrival, parties)`. A party
+/// stuck longer than its device watchdog's budget gets the watchdog's
+/// diagnostic instead of hanging.
 class VtBarrier {
  public:
   using ReleaseFn = std::function<ps_t(ps_t max_arrival, int parties)>;
 
-  /// `device` (optional) enables the blocking-wait watchdog: a party stuck
-  /// waiting longer than the device watchdog's budget gets a diagnostic
-  /// timeout instead of hanging. nullptr keeps the plain wait.
-  VtBarrier(int parties, ReleaseFn release_fn,
-            const Device* device = nullptr);
+  VtBarrier(int parties, ReleaseFn release_fn);
 
-  VtBarrier(const VtBarrier&) = delete;
-  VtBarrier& operator=(const VtBarrier&) = delete;
+  /// Party `index` (0..parties-1) arrives; blocks until all parties arrive,
+  /// then advances the caller's clock to the computed release time.
+  /// Reusable across generations.
+  void wait(Tile& self, int index);
+  /// wait() on a raw device, whose parties are tiles 0..parties-1.
+  void wait(Tile& self) { wait(self, self.id()); }
 
-  /// Blocks until all parties arrive; advances the caller's clock to the
-  /// computed release time. Reusable across generations.
-  void wait(Tile& self);
+  [[nodiscard]] int parties() const noexcept { return meet_.size(); }
 
-  [[nodiscard]] int parties() const noexcept { return parties_; }
-
-  /// Total wait() calls across all participants (metrics scrape).
-  [[nodiscard]] std::uint64_t waits() const;
+  /// Completed wait() calls across all participants (metrics scrape).
+  [[nodiscard]] std::uint64_t waits() const {
+    return meet_.generations() * static_cast<std::uint64_t>(parties());
+  }
 
  private:
-  int parties_;
   ReleaseFn release_fn_;
-  const Device* device_ = nullptr;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  int arrived_ = 0;
-  std::uint64_t generation_ = 0;
-  std::uint64_t waits_ = 0;
-  ps_t max_arrival_ = 0;
-  int max_arrival_tile_ = -1;  ///< last arriver (min-id tie-break)
-  ps_t release_time_ = 0;
-  int release_src_ = -1;  ///< producer of release_time_ (profiler edge)
+  tilesim::Rendezvous meet_;
+  ps_t release_time_ = 0;  ///< of the last completed generation
+  int release_src_ = -1;   ///< its latest arriver (profiler edge)
 };
 
 /// TMC spin barrier: use only with one task per tile (paper §III-D).
 class SpinBarrier {
  public:
   SpinBarrier(Device& device, int parties);
+  void wait(Tile& self, int index) { barrier_.wait(self, index); }
   void wait(Tile& self) { barrier_.wait(self); }
   [[nodiscard]] int parties() const noexcept { return barrier_.parties(); }
   [[nodiscard]] std::uint64_t waits() const { return barrier_.waits(); }

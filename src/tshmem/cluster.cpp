@@ -1,10 +1,11 @@
 #include "tshmem/cluster.hpp"
 
-#include <array>
-#include <atomic>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+
+#include "sim/rendezvous.hpp"
 
 namespace tshmem {
 
@@ -77,14 +78,19 @@ void Cluster::run_shard(int device, int pes,
 void Cluster::run(int pes_per_device,
                   const std::function<void(ClusterContext&)>& fn) {
   pes_per_dev_ = pes_per_device;
-  std::latch started(num_devices_);
-  std::latch finished(num_devices_ * pes_per_device);
-  // Per-device bookkeeping so a throwing device can release exactly the
-  // latch counts it still owes (count_down past zero is undefined).
-  std::vector<std::atomic<bool>> started_counted(
-      static_cast<std::size_t>(num_devices_));
-  std::vector<std::atomic<int>> finish_counted(
-      static_cast<std::size_t>(num_devices_));
+  // Harness gates over every PE cluster-wide (member d * pes_per_device +
+  // pe), at zero virtual cost: all devices' partitions must exist before
+  // any PE touches a remote one, and stay alive until every PE is done
+  // issuing cross-device operations.
+  const int members = num_devices_ * pes_per_device;
+  tilesim::Rendezvous started(members, "cluster start",
+                              tilesim::RendezvousReport::kNone);
+  tilesim::Rendezvous finished(members, "cluster finish",
+                               tilesim::RendezvousReport::kNone);
+  auto leave = [&](int member) {
+    started.drop(member);
+    finished.drop(member);
+  };
   std::exception_ptr first_error;
   std::mutex error_mu;
 
@@ -95,42 +101,30 @@ void Cluster::run(int pes_per_device,
       try {
         runtimes_[static_cast<std::size_t>(d)]->run(
             pes_per_device, [&, d](Context& ctx) {
-              // All devices' partitions must exist before any PE touches a
-              // remote one.
-              if (ctx.my_pe() == 0 && !started_counted[d].exchange(true)) {
-                started.count_down();
-              }
-              // Cross-device start gate, on no benchmark path.
-              started.wait();  // tshmem-lint: allow(R001)
-              ClusterContext cctx(*this, d, ctx);
-              // A throwing PE must still settle the finished latch before
-              // unwinding, or its sibling PEs (and the other device) would
-              // block in finished.wait() forever.
-              auto settle = [&] {
-                finish_counted[d].fetch_add(1);
-                finished.count_down();
-              };
+              const int member = d * pes_per_device + ctx.my_pe();
+              // A PE that throws leaves both gates, so its peers (and the
+              // other devices) are not left waiting for it.
               try {
+                started.arrive(ctx.tile(), member);
+                ClusterContext cctx(*this, d, ctx);
                 fn(cctx);
+                finished.arrive(ctx.tile(), member);
               } catch (...) {
-                settle();
+                leave(member);
                 throw;
               }
-              // Hold partitions alive until every PE cluster-wide is done
-              // issuing cross-device operations.
-              settle();
-              // Cross-device finish gate, on no benchmark path.
-              finished.wait();  // tshmem-lint: allow(R001)
             });
       } catch (...) {
         {
           std::scoped_lock lk(error_mu);
           if (!first_error) first_error = std::current_exception();
         }
-        // Unblock peers waiting on the latches.
-        if (!started_counted[d].exchange(true)) started.count_down();
-        const int owed = pes_per_device - finish_counted[d].load();
-        for (int i = 0; i < owed; ++i) finished.count_down();
+        // A device whose job never started still owes its PEs' departures.
+        // Dropping a PE that already left, or from a gate that already
+        // opened, changes nothing.
+        for (int pe = 0; pe < pes_per_device; ++pe) {
+          leave(d * pes_per_device + pe);
+        }
       }
     });
   }

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <functional>
-#include <latch>
 #include <memory>
 #include <vector>
 

@@ -385,7 +385,6 @@ void Context::reduce_engine(void* target, const void* source,
       quiet();
     }
     bcast_pull(target, target, bytes, 0, as, seq);
-    rt_->free_bounce(stage);
     return;
   }
 

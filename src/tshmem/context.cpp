@@ -25,8 +25,7 @@ Context::Context(Runtime& rt, int pe, Tile& tile, std::byte* partition,
       partition_bytes_(partition_bytes),
       private_base_(private_arena),
       private_bytes_(private_bytes),
-      heap_(partition, partition_bytes),
-      barrier_algo_(rt.barrier_algo()) {}
+      heap_(partition, partition_bytes) {}
 
 // ===========================================================================
 // Address classification & translation (paper §IV-B)
@@ -210,7 +209,7 @@ void Context::charge_local_copy(std::size_t bytes, MemSpace dst, MemSpace src,
   req.bytes = bytes;
   req.src = src;
   req.dst = dst;
-  req.homing = rt_->options().partition_homing;
+  req.homing = tilesim::Homing::kHashForHome;
   req.concurrent_readers = hints.readers;
   req.concurrent_writers = hints.writers;
   tile_->charge_copy(req);
@@ -350,7 +349,7 @@ void Context::transfer(void* target, const void* source, std::size_t bytes,
       req.bytes = bytes;
       req.src = is_put ? MemSpace::kShared : MemSpace::kPrivate;
       req.dst = is_put ? MemSpace::kPrivate : MemSpace::kShared;
-      req.homing = rt_->options().partition_homing;
+      req.homing = tilesim::Homing::kHashForHome;
       req.concurrent_readers = hints.readers;
       req.concurrent_writers = hints.writers;
       remote.charge_copy(req);
@@ -400,7 +399,6 @@ void Context::transfer(void* target, const void* source, std::size_t bytes,
     charge_local_copy(bytes, MemSpace::kPrivate, MemSpace::kShared, hints);
     do_memcpy_visible(target, bounce, bytes);
   }
-  rt_->free_bounce(bounce);
 }
 
 void Context::put(void* target, const void* source, std::size_t bytes, int pe,
@@ -470,7 +468,7 @@ void Context::transfer_nbi(void* target, const void* source,
   req.bytes = bytes;
   req.src = is_put ? space_of(local_cls) : space_of(remote_cls);
   req.dst = is_put ? space_of(remote_cls) : space_of(local_cls);
-  req.homing = rt_->options().partition_homing;
+  req.homing = tilesim::Homing::kHashForHome;
   const ps_t cost = tile_->device().mem_model().copy_cost_ps(req);
 
   const ps_t stall_ps =
@@ -773,7 +771,7 @@ void Context::barrier_tmc_spin(const ActiveSet& as) {
   // §IV-E: on the TILE-Gx the TMC spin barrier beats the UDN token design;
   // this variant adopts it (usable only when each PE owns its tile, which
   // is always true under this runtime).
-  rt_->spin_barrier_for(as).wait(*tile_);
+  rt_->spin_barrier_for(as).wait(*tile_, as.index_of(pe_));
 }
 
 // ===========================================================================

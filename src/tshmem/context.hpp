@@ -279,7 +279,7 @@ class Context {
   std::byte* private_base_;
   std::size_t private_bytes_;
   SymHeap heap_;
-  BarrierAlgo barrier_algo_;
+  BarrierAlgo barrier_algo_ = BarrierAlgo::kLinearToken;
   bool finalized_ = false;
   analysis::RaceDetector* race_ = nullptr;  ///< tshmem-check (set by Runtime)
 

@@ -311,10 +311,6 @@ void* Runtime::alloc_bounce(std::size_t bytes, int tile) {
   return slot;
 }
 
-void Runtime::free_bounce(void*) {
-  // Slots persist for reuse (see alloc_bounce); teardown_job unmaps them.
-}
-
 tmc::SpinBarrier& Runtime::spin_barrier_for(const ActiveSet& as) {
   const std::uint64_t key = barrier_key(as);
   std::scoped_lock lk(barrier_mu_);
@@ -328,13 +324,13 @@ tmc::SpinBarrier& Runtime::spin_barrier_for(const ActiveSet& as) {
   return *it->second;
 }
 
-TokenRendezvous& Runtime::token_barrier_for(const ActiveSet& as) {
+TokenBarrier& Runtime::token_barrier_for(const ActiveSet& as) {
   const std::uint64_t key = barrier_key(as);
   std::scoped_lock lk(barrier_mu_);
   auto it = token_barriers_.find(key);
   if (it == token_barriers_.end()) {
     it = token_barriers_
-             .emplace(key, std::make_unique<TokenRendezvous>(device_, as))
+             .emplace(key, std::make_unique<TokenBarrier>(as))
              .first;
   }
   return *it->second;
@@ -382,7 +378,7 @@ void Runtime::setup_job(int npes) {
   partitions_ = static_cast<std::byte*>(
       map_with_retry("tshmem_partitions",
                      static_cast<std::size_t>(npes) * opts_.heap_per_pe,
-                     opts_.partition_homing, /*creator_tile=*/0));
+                     tilesim::Homing::kHashForHome, /*creator_tile=*/0));
   // Arenas persist across jobs: only PEs no earlier job ran need one.
   // mmap rejects a zero length, so an empty arena still maps one page.
   const std::size_t arena_bytes =

@@ -82,8 +82,6 @@ struct RuntimeOptions {
   std::size_t heap_per_pe = std::size_t{32} << 20;    ///< symmetric partition
   /// Static arena per PE, kept from a PE's first job to the Runtime's end.
   std::size_t private_per_pe = std::size_t{8} << 20;
-  tilesim::Homing partition_homing = tilesim::Homing::kHashForHome;
-  BarrierAlgo barrier_algo = BarrierAlgo::kLinearToken;
   /// Debug aid: verify collectively at every shmalloc/shfree that all PEs
   /// passed matching arguments (the symmetry precondition of paper SIV-A).
   /// Uses host-level synchronization only — zero virtual-time cost — so it
@@ -211,16 +209,15 @@ class Runtime {
 
   /// Shared bounce buffer for static-static transfers and collective
   /// staging: a persistent per-PE slot grown on demand, so cmem placement
-  /// and statistics replay bit-identically (free_bounce is a no-op; the
-  /// slot is recycled and unmapped at job teardown).
+  /// and statistics replay bit-identically (the slot is recycled, and
+  /// unmapped at job teardown).
   void* alloc_bounce(std::size_t bytes, int tile);
-  void free_bounce(void* p);
 
   /// Cached TMC spin barrier for an active set (BarrierAlgo::kTmcSpin).
   tmc::SpinBarrier& spin_barrier_for(const ActiveSet& as);
   /// Cached token-barrier rendezvous for an active set (the host
   /// realization of BarrierAlgo::kLinearToken when token_rendezvous()).
-  TokenRendezvous& token_barrier_for(const ActiveSet& as);
+  TokenBarrier& token_barrier_for(const ActiveSet& as);
   /// True when this job's linear token barriers run as one host rendezvous
   /// per barrier instead of 2n UDN messages. Chosen once per job in
   /// setup_job: the messages stay whenever something records individual
@@ -235,11 +232,6 @@ class Runtime {
   /// argument of its collective allocation call; after a host rendezvous
   /// each PE checks agreement and throws std::logic_error on divergence.
   void check_symmetric_arg(int pe, std::uint64_t value, const char* what);
-
-  /// Runtime-wide default barrier algorithm (settable per Context too).
-  [[nodiscard]] BarrierAlgo barrier_algo() const noexcept {
-    return opts_.barrier_algo;
-  }
 
   // --- robustness (src/sim/fault.hpp; docs/ROBUSTNESS.md) ------------------
   /// Fault engine attached to this runtime's device; nullptr when the
@@ -323,7 +315,9 @@ class Runtime {
   StaticRegistry statics_;
 
   // --- robustness state ----------------------------------------------------
-  struct PeState {
+  // One cache line per PE: every op of a PE writes its state (note_op),
+  // so two PEs sharing a line would stall each other on every op.
+  struct alignas(64) PeState {
     std::atomic<const char*> op{"idle"};   // static strings only
     std::atomic<std::uint64_t> op_seq{0};
     std::atomic<int> held_locks{0};
@@ -361,7 +355,7 @@ class Runtime {
 
   std::mutex barrier_mu_;  // guards both barrier caches
   std::map<std::uint64_t, std::unique_ptr<tmc::SpinBarrier>> spin_barriers_;
-  std::map<std::uint64_t, std::unique_ptr<TokenRendezvous>> token_barriers_;
+  std::map<std::uint64_t, std::unique_ptr<TokenBarrier>> token_barriers_;
   bool token_rendezvous_ = false;
 
   // --- metrics state -------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sim/guarded_wait.hpp"
 #include "tmc/udn.hpp"
 
 namespace tshmem {
@@ -44,34 +43,6 @@ std::vector<TokenTimes> linear_token_schedule(std::span<const ps_t> arrivals,
   }
   t[0].release_in = sent + hop[n - 1];
   return t;
-}
-
-TokenRendezvous::TokenRendezvous(const tilesim::Device& device,
-                                 const ActiveSet& as)
-    : device_(&device),
-      pes_(as.members()),
-      arrivals_(pes_.size()),
-      times_(pes_.size()) {}
-
-TokenTimes TokenRendezvous::wait(tilesim::Tile& self, int index) {
-  const auto i = static_cast<std::size_t>(index);
-  std::unique_lock lk(mu_);
-  arrivals_[i] = self.clock().now();
-  const std::uint64_t my_generation = generation_;
-  if (++arrived_ == static_cast<int>(pes_.size())) {
-    times_ = linear_token_schedule(arrivals_, pes_, device_->config());
-    arrived_ = 0;
-    ++generation_;
-    const TokenTimes mine = times_[i];
-    lk.unlock();
-    cv_.notify_all();
-    return mine;
-  }
-  // times_ cannot be overwritten before this member reads it: the next
-  // generation completes only once this member has arrived there too.
-  tilesim::guarded_wait(*device_, lk, cv_, self.id(), "token barrier",
-                        [&] { return generation_ != my_generation; });
-  return times_[i];
 }
 
 }  // namespace tshmem

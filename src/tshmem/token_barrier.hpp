@@ -5,19 +5,17 @@
 // returns; a RELEASE token then makes the same loop. When nothing observes
 // the individual tokens, the timestamps every member sees are a pure
 // function of the members' arrival clocks: linear_token_schedule computes
-// them, and TokenRendezvous gathers the arrivals in one place so the last
-// arriver can evaluate it and wake everyone at once, instead of 2n chained
-// thread handoffs. Each member then replays on its own clock the advances
-// the message path would have made (Context::barrier_linear).
+// them, and TokenBarrier gathers the arrivals in one tilesim::Rendezvous so
+// the last arriver can evaluate it and wake everyone at once, instead of 2n
+// chained thread handoffs. Each member then replays on its own clock the
+// advances the message path would have made (Context::barrier_linear).
 #pragma once
 
-#include <condition_variable>
-#include <cstdint>
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "sim/device.hpp"
+#include "sim/rendezvous.hpp"
 #include "tshmem/types.hpp"
 
 namespace tshmem {
@@ -39,28 +37,28 @@ struct TokenTimes {
     std::span<const ps_t> arrivals, std::span<const int> pes,
     const tilesim::DeviceConfig& cfg);
 
-/// One active set's rendezvous: reusable across barrier generations.
-class TokenRendezvous {
+/// One active set's token loop in a host rendezvous: reusable across
+/// barrier generations.
+class TokenBarrier {
  public:
-  TokenRendezvous(const tilesim::Device& device, const ActiveSet& as);
-
-  TokenRendezvous(const TokenRendezvous&) = delete;
-  TokenRendezvous& operator=(const TokenRendezvous&) = delete;
+  explicit TokenBarrier(const ActiveSet& as)
+      : meet_(as.pe_size, "token barrier",
+              tilesim::RendezvousReport::kSyncAndWait) {}
 
   /// Deposits the caller's clock as member `index`'s arrival, blocks until
   /// every member has arrived, and returns that member's token times. The
-  /// wait is watchdog-bounded; the caller's clock is not touched.
-  TokenTimes wait(tilesim::Tile& self, int index);
+  /// caller's clock is not touched.
+  TokenTimes wait(tilesim::Tile& self, int index) {
+    meet_.arrive(self, index, [&](std::span<const ps_t> clocks,
+                                  std::span<const int> pes) {
+      times_ = linear_token_schedule(clocks, pes, self.device().config());
+    });
+    return times_[static_cast<std::size_t>(index)];
+  }
 
  private:
-  const tilesim::Device* device_;
-  std::vector<int> pes_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<ps_t> arrivals_;
+  tilesim::Rendezvous meet_;
   std::vector<TokenTimes> times_;  ///< of the last completed generation
-  int arrived_ = 0;
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace tshmem

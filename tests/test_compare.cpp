@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "compare/fork_join.hpp"
 #include "compare/msg_passing.hpp"
@@ -204,6 +207,32 @@ TEST(ForkJoinTest, ForkAndJoinCostsCharged) {
     EXPECT_GT(tile.clock().now(), min_expected);
     device.host_sync();
   });
+}
+
+TEST(ForkJoinTest, MissingThreadTripsWatchdog) {
+  // Tile 1 never enters the region: tile 0's fork wait must end in the
+  // device watchdog's error, not hang.
+  Device device(tilesim::tile_gx36());
+  tilesim::Watchdog wd;
+  wd.timeout = std::chrono::milliseconds(300);
+  wd.on_timeout = [](int tile, const char* what) {
+    throw std::runtime_error("watchdog: tile " + std::to_string(tile) +
+                             " stuck in " + what);
+  };
+  device.attach_watchdog(&wd);
+  ForkJoin fj(device, 2);
+  try {
+    device.run(2, [&](Tile& tile) {
+      if (tile.id() == 0) {
+        fj.parallel_for(tile, 8, [](std::size_t, std::size_t, Tile&) {});
+      }
+    });
+    FAIL() << "a missing thread did not trip the watchdog";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("watchdog: tile 0"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ForkJoinTest, RejectsBadThreadCount) {

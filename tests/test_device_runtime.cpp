@@ -1,16 +1,21 @@
 // Tests for the Device/Tile runtime itself: thread binding, clock
-// lifecycle, host synchronization primitives, reentrancy guards, the
+// lifecycle, host synchronization primitives (host_sync and the
+// Rendezvous every host-side meeting is built on), reentrancy guards, the
 // spin-then-park decision of blocking waits, and the ScopedTimer helper.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "sim/clock.hpp"
 #include "sim/device.hpp"
 #include "sim/guarded_wait.hpp"
+#include "sim/rendezvous.hpp"
 
 namespace {
 
@@ -173,6 +178,71 @@ TEST(SpinDecision, CountsTileThreadsAcrossDevices) {
   EXPECT_EQ(seen[1], 4);
   EXPECT_EQ(Device::running_tile_threads(), 0);
   EXPECT_GE(Device::usable_cpus(), 1);
+}
+
+TEST(Rendezvous, LastArriverReleasesOverEveryArrivalByIndex) {
+  // Members are numbered against tile order, so the release must see each
+  // arrival in its member's slot, once per generation. What it stores
+  // stays put until the reader arrives again.
+  Device device(tilesim::tile_gx36());
+  tilesim::Rendezvous meet(4, "test meet",
+                           tilesim::RendezvousReport::kSyncAndWait);
+  std::vector<tilesim::ps_t> clocks;
+  std::vector<int> tiles;
+  int releases = 0;
+  device.run(4, [&](Tile& tile) {
+    for (int round = 1; round <= 3; ++round) {
+      tile.clock().advance(100 * static_cast<tilesim::ps_t>(tile.id() + 1));
+      meet.arrive(tile, 3 - tile.id(),
+                  [&](std::span<const tilesim::ps_t> c,
+                      std::span<const int> t) {
+                    clocks.assign(c.begin(), c.end());
+                    tiles.assign(t.begin(), t.end());
+                    ++releases;
+                  });
+      EXPECT_EQ(releases, round);
+      const auto r = static_cast<tilesim::ps_t>(round);
+      EXPECT_EQ(clocks, (std::vector<tilesim::ps_t>{400 * r, 300 * r,
+                                                    200 * r, 100 * r}));
+      EXPECT_EQ(tiles, (std::vector<int>{3, 2, 1, 0}));
+    }
+  });
+  EXPECT_EQ(meet.generations(), 3u);
+}
+
+TEST(Rendezvous, DroppedMemberLetsTheRestMeet) {
+  Device device(tilesim::tile_gx36());
+  tilesim::Rendezvous meet(3, "test meet", tilesim::RendezvousReport::kNone);
+  device.run(3, [&](Tile& tile) {
+    if (tile.id() == 2) {
+      meet.drop(2);
+      meet.drop(2);  // leaving twice is leaving once
+      return;
+    }
+    for (int i = 0; i < 10; ++i) meet.arrive(tile, tile.id());
+  });
+  EXPECT_EQ(meet.generations(), 10u);
+}
+
+TEST(Rendezvous, WatchdogWithdrawsTheArrival) {
+  // Tile 1 never arrives, so tile 0's wait times out. Its arrival must not
+  // linger: the next run's two arrivals make exactly one generation.
+  Device device(tilesim::tile_gx36());
+  tilesim::Watchdog wd;
+  wd.timeout = std::chrono::milliseconds(100);
+  wd.on_timeout = [](int, const char* what) {
+    throw std::runtime_error(what);
+  };
+  device.attach_watchdog(&wd);
+  tilesim::Rendezvous meet(2, "test meet", tilesim::RendezvousReport::kNone);
+  EXPECT_THROW(device.run(2,
+                          [&](Tile& tile) {
+                            if (tile.id() == 0) meet.arrive(tile, 0);
+                          }),
+               std::runtime_error);
+  EXPECT_EQ(meet.generations(), 0u);
+  device.run(2, [&](Tile& tile) { meet.arrive(tile, tile.id()); });
+  EXPECT_EQ(meet.generations(), 1u);
 }
 
 TEST(DeviceRuntime, RunIsNotReentrant) {

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string_view>
 
+#include "obs/flightrec.hpp"
 #include "sim/device.hpp"
 #include "tmc/barrier.hpp"
 #include "tmc/interrupt.hpp"
+#include "tshmem/context.hpp"
+#include "tshmem/runtime.hpp"
 
 namespace {
 
@@ -110,6 +114,38 @@ TEST(SpinBarrier, VirtualLatencyObserved) {
     const auto dt = tile.clock().now() - t0;
     EXPECT_EQ(dt, SpinBarrier::model_latency_ps(device.config(), 8));
   });
+}
+
+TEST(SpinBarrier, EveryPeBracketsEveryWait) {
+  // Each PE reports one wait bracket per barrier, the last arriver too, so
+  // the recorder's rings do not depend on which PE arrived last.
+  constexpr int kBarriers = 200;
+  tshmem::RuntimeOptions opts;
+  opts.flightrec = true;
+  opts.flightrec_capacity = 4096;
+  opts.metrics = true;
+  tshmem::Runtime rt(tilesim::tile_gx36(), opts);
+  rt.run(4, [](tshmem::Context& ctx) {
+    ctx.set_barrier_algo(tshmem::BarrierAlgo::kTmcSpin);
+    for (int i = 0; i < kBarriers; ++i) ctx.barrier_all();
+  });
+  std::uint64_t spin_waits = 0;
+  for (const auto& c : rt.metrics().counters) {
+    if (c.name == "tmc.barrier.spin_waits") spin_waits = c.value;
+  }
+  EXPECT_EQ(spin_waits, 4u * kBarriers);
+  for (int pe = 0; pe < 4; ++pe) {
+    ASSERT_LE(rt.flightrec()->total_recorded(pe), opts.flightrec_capacity);
+    int begins = 0;
+    int ends = 0;
+    for (const obs::FrEvent& e : rt.flightrec()->snapshot(pe)) {
+      if (std::string_view(e.site) != "barrier wait") continue;
+      begins += e.kind == tilesim::ProbeKind::kWaitBegin ? 1 : 0;
+      ends += e.kind == tilesim::ProbeKind::kWaitEnd ? 1 : 0;
+    }
+    EXPECT_EQ(begins, kBarriers) << "PE " << pe;
+    EXPECT_EQ(ends, kBarriers) << "PE " << pe;
+  }
 }
 
 TEST(MemFence, AdvancesClockSlightly) {

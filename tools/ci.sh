@@ -7,9 +7,10 @@
 # ext_overlap and ext_faults must stay byte-identical whichever other
 # probe consumers share the run), and finally rebuild the
 # concurrency-sensitive suites (NBI/DMA engine, tmc + tshmem barriers,
-# collectives, runtime, UDN, device runtime, and the probe's consumers:
-# metrics, profiler, flight recorder and time series, race detector) under
-# ThreadSanitizer and run them race-clean.
+# collectives, runtime, UDN, device runtime, the fork-join baseline and the
+# cluster, whose waits all meet in the one host rendezvous, and the probe's
+# consumers: metrics, profiler, flight recorder and time series, race
+# detector) under ThreadSanitizer and run them race-clean.
 #
 # After the sanitizer stages, the fault-injection campaign (bench/ext_faults)
 # runs twice per seed over a fixed seed set and the outputs are diffed:
@@ -33,9 +34,10 @@
 #
 # The serving smoke stage (docs/SERVING.md): a shortened ramped ext_serve
 # run must sustain non-zero QPS with nothing hung, exit promptly with its
-# time series and blackbox written, and write both files bit-identically
-# twice; a shard-stall fault plan must shed load (structured rejects)
-# rather than hang, replaying bit-identically.
+# time series and blackbox written (over a stale file left at the blackbox
+# path), and write both files bit-identically twice; a shard-stall fault
+# plan must shed load (structured rejects) rather than hang, replaying
+# bit-identically.
 #
 # The triage smoke closes the run (docs/OBSERVABILITY.md): ext_faults
 # --hang-demo strands PE 0 in shmem_wait_until under a short watchdog, the
@@ -176,7 +178,8 @@ done
 if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync," \
        "test_collectives, test_runtime, test_udn, test_device_runtime," \
-       "test_metrics, test_profiler, test_flightrec, test_racecheck)"
+       "test_compare, test_cluster, test_metrics, test_profiler," \
+       "test_flightrec, test_racecheck)"
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -184,8 +187,8 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
   cmake --build "$TSAN_DIR" -j \
     --target test_nbi test_tmc_barrier test_barrier_sync test_collectives \
-    test_runtime test_udn test_device_runtime test_metrics test_profiler \
-    test_flightrec test_racecheck
+    test_runtime test_udn test_device_runtime test_compare test_cluster \
+    test_metrics test_profiler test_flightrec test_racecheck
   # TSan exits non-zero (66) on any reported race even when gtest passes.
   "$TSAN_DIR"/tests/test_nbi
   "$TSAN_DIR"/tests/test_tmc_barrier
@@ -206,6 +209,10 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   "$TSAN_DIR"/tests/test_udn --gtest_repeat=10
   "$TSAN_DIR"/tests/test_barrier_sync \
     --gtest_filter='Devices/TokenRendezvousTest.*' --gtest_repeat=10
+  # ForkJoin's fork and join and Cluster::run's start and finish gates
+  # wait in the same host rendezvous as host_sync and the barriers.
+  "$TSAN_DIR"/tests/test_compare
+  "$TSAN_DIR"/tests/test_cluster
   # Every tile thread reads the device's probe list, and the race detector
   # is attached to it once per job. The metrics consumer and the time
   # series keep per-tile state written by each tile's own thread.
@@ -376,7 +383,9 @@ serve_args="--queries 50000 --images 256 --pes 2"
 # Healthy ramped run: the service must sustain a non-zero QPS with every
 # offered query answered (ext_serve itself exits 1 on hung queries), exit
 # promptly after writing its time series and blackbox, and write both
-# files byte-identically on a second run.
+# files byte-identically on a second run. A stale file at the first run's
+# blackbox path must be replaced by this run's own snapshot.
+echo '{"schema": "stale"}' > "$tmp_dir/serve_bb_a.json"
 for run in a b; do
   timeout 300 "$BUILD_DIR"/bench/ext_serve $serve_args \
     --timeseries-json "$tmp_dir/serve_ts_$run.json" \
@@ -385,6 +394,17 @@ for run in a b; do
 done
 cmp "$tmp_dir/serve_ts_a.json" "$tmp_dir/serve_ts_b.json"
 cmp "$tmp_dir/serve_bb_a.json" "$tmp_dir/serve_bb_b.json"
+python3 - "$tmp_dir/serve_bb_a.json" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+assert doc["schema"] == "tshmem.blackbox.v1", doc.get("schema")
+assert doc["source"] == "svc", doc.get("source")
+print(f"serve blackbox OK: fresh {doc['schema']} from {doc['source']} "
+      f"({doc['reason']})")
+EOF
 cp "$tmp_dir/serve_ok_a.txt" "$tmp_dir/serve_ok.txt"
 # Degraded run: every batch on shard 1 loses 20 ms, far past the backlog
 # watchdog. The shed-not-hang verdict (docs/SERVING.md): load is refused
