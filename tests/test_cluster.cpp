@@ -253,15 +253,19 @@ TEST(Cluster, DeterministicVirtualTime) {
   for (int trial = 0; trial < 2; ++trial) {
     tilesim::ps_t elapsed = 0;
     cluster.run(2, [&](ClusterContext& ctx) {
-      int* buf = ctx.local().shmalloc_n<int>(1024);
+      // Put from one buffer into another: PE pairs swap data, so putting
+      // into the buffer the peer is reading from would race.
+      int* src = ctx.local().shmalloc_n<int>(1024);
+      int* dst = ctx.local().shmalloc_n<int>(1024);
       ctx.barrier_all();
       ctx.local().harness_sync_reset();
-      ctx.put(buf, buf, 1024 * sizeof(int),
+      ctx.put(dst, src, 1024 * sizeof(int),
               (ctx.global_pe() + 2) % 4);  // all cross-device
       ctx.barrier_all();
       if (ctx.global_pe() == 0) elapsed = ctx.local().clock().now();
       ctx.local().harness_sync();
-      ctx.local().shfree(buf);
+      ctx.local().shfree(dst);
+      ctx.local().shfree(src);
     });
     if (trial == 0) {
       first = elapsed;
