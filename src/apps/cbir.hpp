@@ -44,42 +44,36 @@ struct Params {
 void generate_image(std::span<std::uint8_t> out, int width, int height,
                     std::uint64_t image_seed);
 
-/// Autocorrelogram feature; charges the device compute model when
-/// `charge_to` is non-null (quantization + neighbor comparisons).
+/// Autocorrelogram feature. Extraction charges nothing itself; its callers
+/// charge extract_ops(width, height) to the compute model.
 [[nodiscard]] Feature autocorrelogram(std::span<const std::uint8_t> img,
-                                      int width, int height,
-                                      tshmem::Context* charge_to = nullptr);
+                                      int width, int height);
 
-/// A feature plus the integer-op count its extraction would charge. The op
-/// count is a pure function of the image, so a cached Extracted can replay
-/// the exact compute-model charge without re-running the extraction.
-struct Extracted {
-  Feature feature{};
-  std::uint64_t ops = 0;
-};
-
-/// Pure extraction: autocorrelogram plus its op count, no charging.
-[[nodiscard]] Extracted extract_feature(std::span<const std::uint8_t> img,
-                                        int width, int height);
+/// Integer ops one extraction costs the compute model: per pixel, one
+/// quantize, one histogram update, and one comparison per distance and
+/// axial neighbor, in bounds or not.
+[[nodiscard]] constexpr std::uint64_t extract_ops(int width, int height) {
+  return static_cast<std::uint64_t>(width) *
+         static_cast<std::uint64_t>(height) * (2 + 4 * kDistances.size());
+}
 
 /// Process-wide memoization of synthetic-image features, keyed by the
 /// image's generator seed and dimensions. The database is deterministic
 /// (image_seed fully determines the pixels), so every PE, every tile-count
 /// sweep, and every serving shard re-extracting image `s` computes the
-/// same feature — the cache computes it once and replays the identical
-/// op-count charge on every hit, keeping virtual time bit-identical while
-/// removing the dominant host cost of fig14 (re-extraction per scoring
-/// pass). Thread-safe; entry references stay valid until clear(), which
-/// must only run with no job in flight.
+/// same feature — the cache computes it once, removing the dominant host
+/// cost of fig14 (re-extraction per scoring pass). Thread-safe; entry
+/// references stay valid until clear(), which must only run with no job
+/// in flight.
 class FeatureCache {
  public:
   static FeatureCache& shared();
 
-  /// Returns the cached extraction for (image_seed, width, height),
-  /// computing it from `img` on the first call. The caller guarantees
-  /// `img` holds the pixels generate_image produces for `image_seed`.
-  const Extracted& seeded(std::span<const std::uint8_t> img, int width,
-                          int height, std::uint64_t image_seed);
+  /// Returns the cached feature for (image_seed, width, height), computing
+  /// it from `img` on the first call. The caller guarantees `img` holds
+  /// the pixels generate_image produces for `image_seed`.
+  const Feature& seeded(std::span<const std::uint8_t> img, int width,
+                        int height, std::uint64_t image_seed);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::uint64_t hits() const;
@@ -103,7 +97,7 @@ class FeatureCache {
   };
 
   mutable std::mutex mu_;
-  std::unordered_map<Key, Extracted, KeyHash> map_;
+  std::unordered_map<Key, Feature, KeyHash> map_;
   std::uint64_t hits_ = 0;
 };
 

@@ -73,20 +73,4 @@ class SimClock {
   std::atomic<ps_t> idle_ps_{0};
 };
 
-/// RAII helper measuring virtual elapsed time over a scope.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const SimClock& clock, ps_t& out)
-      : clock_(clock), out_(out), start_(clock.now()) {}
-  ~ScopedTimer() { out_ = clock_.now() - start_; }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  const SimClock& clock_;
-  ps_t& out_;
-  ps_t start_;
-};
-
 }  // namespace tilesim

@@ -117,7 +117,7 @@ ShardCalibration Service::calibrate_replica(int shard, int replica) {
       const std::uint64_t s = db.seed + static_cast<std::uint64_t>(key);
       apps::cbir::generate_image(img, db.width, db.height, s);
       queries[static_cast<std::size_t>(i)] =
-          FeatureCache::shared().seeded(img, db.width, db.height, s).feature;
+          FeatureCache::shared().seeded(img, db.width, db.height, s);
     }
     std::vector<Hit> out(static_cast<std::size_t>(probes));
     ctx.barrier_all();

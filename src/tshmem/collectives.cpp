@@ -267,11 +267,7 @@ void Context::collect_engine(void* target, const void* source,
       recv_ctrl(tmc::kUdnCollectiveQueue, MsgTag::kCollectPutDone,
                 as.pe_at(i));
     }
-    if (!fixed_size) {
-      // Tell members the total via the READY aux field of the broadcast.
-      bcast_pull(target, target, total_bytes, 0, as, seq);
-      return;
-    }
+    // The READY aux field of the broadcast tells members the total.
     bcast_pull(target, target, total_bytes, 0, as, seq);
   } else {
     // Stage 1: put my block into the root's copy of `target`.

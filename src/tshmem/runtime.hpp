@@ -259,16 +259,11 @@ class Runtime {
   [[nodiscard]] analysis::RaceMode racecheck_mode() const noexcept {
     return racecheck_mode_;
   }
-  /// Detector for the running job; nullptr outside run() or when off.
-  [[nodiscard]] analysis::RaceDetector* race_detector() noexcept {
-    return race_detector_.get();
-  }
   /// All findings accumulated across run() calls, canonically ordered.
   [[nodiscard]] const std::vector<analysis::RaceReport>& race_reports()
       const noexcept {
     return race_reports_;
   }
-  void clear_race_reports() { race_reports_.clear(); }
 
   // --- metrics (src/obs) ---------------------------------------------------
   [[nodiscard]] bool metrics_enabled() const noexcept {
@@ -329,7 +324,7 @@ class Runtime {
   std::size_t racecheck_granule_ = 8;
   std::unique_ptr<analysis::RaceDetector> race_detector_;  // per-run
   std::vector<analysis::RaceReport> race_reports_;
-  std::vector<std::unique_ptr<PeState>> pe_states_;
+  std::vector<PeState> pe_states_;
   std::atomic<bool> running_{false};
 
   int npes_ = 0;
@@ -345,7 +340,12 @@ class Runtime {
   std::vector<std::unique_ptr<std::byte, ArenaUnmap>> private_arenas_;
   std::vector<std::unique_ptr<Context>> contexts_;
 
-  std::vector<std::unique_ptr<std::atomic<ps_t>>> delivery_;
+  // One cache line per PE: every put into a PE raises its delivery time,
+  // which that PE's wait_until reads.
+  struct alignas(64) DeliverySlot {
+    std::atomic<ps_t> completion{0};
+  };
+  std::vector<DeliverySlot> delivery_;
   std::vector<std::uint64_t> symmetry_slots_;
 
   // Persistent per-PE bounce slots (see alloc_bounce): indexed by PE, each

@@ -1,9 +1,14 @@
 // Tests for the CBIR case study (paper §V-B): deterministic synthetic
-// database, autocorrelogram properties, query self-retrieval, and PE-count
-// invariance of the retrieval result.
+// database, autocorrelogram properties, the pair-counting extractor against
+// a per-neighbor oracle, the feature cache under concurrent lookups, query
+// self-retrieval, and PE-count invariance of the retrieval result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "apps/cbir.hpp"
 #include "tshmem/runtime.hpp"
@@ -13,6 +18,143 @@ namespace {
 namespace cbir = apps::cbir;
 using tshmem::Context;
 using tshmem::Runtime;
+
+// Oracle: the straightforward extractor. It visits the four axial neighbors
+// of every pixel at every distance, skips the ones out of bounds, and
+// counts one op per quantize, histogram update and comparison it issues.
+struct OracleFeature {
+  cbir::Feature feature{};
+  std::uint64_t ops = 0;
+};
+
+OracleFeature oracle(std::span<const std::uint8_t> img, int width,
+                     int height) {
+  std::array<std::uint32_t, cbir::kFeatureLen> hits{};
+  std::array<std::uint32_t, cbir::kBins> counts{};
+  OracleFeature out;
+  auto bin_at = [&](int x, int y) {
+    return img[static_cast<std::size_t>(y) * width + x] >> 4;
+  };
+  for (int y = 0; y < height; ++y) {
+    for (int x = 0; x < width; ++x) {
+      const int b = bin_at(x, y);
+      ++counts[static_cast<std::size_t>(b)];
+      out.ops += 2;  // quantize + histogram
+      for (std::size_t di = 0; di < cbir::kDistances.size(); ++di) {
+        const int d = cbir::kDistances[di];
+        const int nx[4] = {x - d, x + d, x, x};
+        const int ny[4] = {y, y, y - d, y + d};
+        for (int k = 0; k < 4; ++k) {
+          ++out.ops;
+          if (nx[k] < 0 || nx[k] >= width || ny[k] < 0 || ny[k] >= height) {
+            continue;
+          }
+          if (bin_at(nx[k], ny[k]) == b) {
+            ++hits[di * cbir::kBins + static_cast<std::size_t>(b)];
+          }
+        }
+      }
+    }
+  }
+  for (std::size_t di = 0; di < cbir::kDistances.size(); ++di) {
+    for (int b = 0; b < cbir::kBins; ++b) {
+      const std::size_t i = di * cbir::kBins + static_cast<std::size_t>(b);
+      const std::uint32_t total = counts[static_cast<std::size_t>(b)] * 4;
+      out.feature[i] = total == 0 ? 0.0f
+                                  : static_cast<float>(hits[i]) /
+                                        static_cast<float>(total);
+    }
+  }
+  return out;
+}
+
+/// True when the extractor's feature is bytewise the oracle's and
+/// extract_ops is the oracle's op count.
+bool matches_oracle(std::span<const std::uint8_t> img, int width,
+                    int height) {
+  const OracleFeature want = oracle(img, width, height);
+  const cbir::Feature got = cbir::autocorrelogram(img, width, height);
+  return std::memcmp(got.data(), want.feature.data(),
+                     sizeof(cbir::Feature)) == 0 &&
+         cbir::extract_ops(width, height) == want.ops;
+}
+
+TEST(CbirOracle, EveryDefaultDatabaseImage) {
+  const cbir::Params p;
+  const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<std::vector<int>> mismatches(threads);
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      std::vector<std::uint8_t> img(static_cast<std::size_t>(p.width) *
+                                    static_cast<std::size_t>(p.height));
+      for (int i = static_cast<int>(t); i < p.images;
+           i += static_cast<int>(threads)) {
+        cbir::generate_image(img, p.width, p.height,
+                             p.seed + static_cast<std::uint64_t>(i));
+        if (!matches_oracle(img, p.width, p.height)) mismatches[t].push_back(i);
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  for (const auto& m : mismatches) {
+    EXPECT_TRUE(m.empty()) << m.size() << " mismatching images, first "
+                           << m.front();
+  }
+}
+
+TEST(CbirOracle, EdgeShapes) {
+  // Sides shorter than the largest distance, one-pixel rows and columns,
+  // non-square and odd sizes.
+  const std::pair<int, int> shapes[] = {{1, 1},  {1, 9},  {9, 1},
+                                        {3, 3},  {7, 7},  {8, 8},
+                                        {5, 40}, {40, 5}, {13, 200},
+                                        {129, 127}};
+  for (const auto& [w, h] : shapes) {
+    std::vector<std::uint8_t> img(static_cast<std::size_t>(w) *
+                                  static_cast<std::size_t>(h));
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      cbir::generate_image(img, w, h, seed);
+      EXPECT_TRUE(matches_oracle(img, w, h))
+          << w << "x" << h << " seed " << seed;
+    }
+  }
+}
+
+TEST(CbirFeatureCache, ConcurrentLookupsAgreeWithOracle) {
+  // Every thread looks up the same seeds in its own order, so misses race
+  // each other on every key: each key is extracted at least once, stored
+  // once, and every other lookup counts as a hit.
+  constexpr int kSeeds = 64;
+  constexpr int kThreads = 4;
+  constexpr int kSide = 32;
+  cbir::FeatureCache cache;
+  std::vector<int> wrong(kThreads, 0);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      std::vector<std::uint8_t> img(kSide * kSide);
+      for (int i = 0; i < kSeeds; ++i) {
+        const int k = (t % 2 == 0 ? i : kSeeds - 1 - i) * (2 * t + 1) % kSeeds;
+        const std::uint64_t seed = 500 + static_cast<std::uint64_t>(k);
+        cbir::generate_image(img, kSide, kSide, seed);
+        const cbir::Feature& f = cache.seeded(img, kSide, kSide, seed);
+        const OracleFeature want = oracle(img, kSide, kSide);
+        if (std::memcmp(f.data(), want.feature.data(),
+                        sizeof(cbir::Feature)) != 0) {
+          ++wrong[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  for (const int w : wrong) EXPECT_EQ(w, 0);
+  EXPECT_EQ(cache.size(), static_cast<std::size_t>(kSeeds));
+  EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(kSeeds * (kThreads - 1)));
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits(), 0u);
+}
 
 TEST(CbirImages, GeneratorIsDeterministic) {
   std::vector<std::uint8_t> a(128 * 128), b(128 * 128);
@@ -82,14 +224,13 @@ TEST(CbirFeature, DistanceIsAMetricOnIdenticalInputs) {
 }
 
 TEST(CbirFeature, ChargesComputeModel) {
+  static_assert(cbir::extract_ops(128, 128) == 18u * 128 * 128);
   Runtime rt(tilesim::tile_gx36());
   rt.run(1, [](Context& ctx) {
-    std::vector<std::uint8_t> img(128 * 128);
-    cbir::generate_image(img, 128, 128, 3);
     const auto t0 = ctx.clock().now();
-    (void)cbir::autocorrelogram(img, 128, 128, &ctx);
+    ctx.charge_int_ops(cbir::extract_ops(128, 128));
     const auto dt = ctx.clock().now() - t0;
-    // ~18 ops/pixel at 1 ns: roughly 0.3 ms of device time per image.
+    // 18 ops/pixel at 1 ns: roughly 0.3 ms of device time per image.
     EXPECT_GT(dt, 100'000'000u);   // > 0.1 ms
     EXPECT_LT(dt, 1'000'000'000u); // < 1 ms
   });

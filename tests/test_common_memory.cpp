@@ -1,17 +1,14 @@
 // Tests for TMC common memory: mapping semantics, the address classifier,
-// homing attributes, free-list reuse, and the tmc allocator facade.
+// homing attributes, and free-list reuse.
 #include <gtest/gtest.h>
 
 #include <cstring>
 
-#include "tmc/alloc.hpp"
 #include "tmc/common_memory.hpp"
 
 namespace {
 
 using tilesim::Homing;
-using tmc::AllocAttr;
-using tmc::Allocator;
 using tmc::CommonMemory;
 
 TEST(CommonMemory, MapAndLookup) {
@@ -118,55 +115,6 @@ TEST(CommonMemory, DataSurvivesOtherMappings) {
   (void)cm.map("other", 256, Homing::kLocal, 0);
   cm.unmap("other");
   for (int i = 0; i < 256; ++i) EXPECT_EQ(p[i], std::byte{0xab});
-}
-
-// --- Allocator facade --------------------------------------------------------
-
-TEST(Allocator, SharedAllocationsLiveInCommonMemory) {
-  CommonMemory cm(1 << 16);
-  Allocator alloc(cm);
-  AllocAttr shared;
-  shared.shared = true;
-  void* p = alloc.alloc(shared, 512, 2);
-  EXPECT_TRUE(alloc.is_shared(p));
-  EXPECT_TRUE(cm.contains(p));
-  alloc.free(p);
-  EXPECT_EQ(alloc.live_allocations(), 0u);
-}
-
-TEST(Allocator, PrivateAllocationsAreNotShared) {
-  CommonMemory cm(1 << 16);
-  Allocator alloc(cm);
-  AllocAttr priv;
-  priv.shared = false;
-  void* p = alloc.alloc(priv, 512, 0);
-  EXPECT_FALSE(alloc.is_shared(p));
-  alloc.free(p);
-}
-
-TEST(Allocator, HomingAttributePropagates) {
-  CommonMemory cm(1 << 16);
-  Allocator alloc(cm);
-  AllocAttr attr;
-  attr.shared = true;
-  attr.homing = Homing::kRemote;
-  void* p = alloc.alloc(attr, 128, 0);
-  EXPECT_EQ(cm.homing_of(p), Homing::kRemote);
-  alloc.free(p);
-}
-
-TEST(Allocator, FreeOfForeignPointerThrows) {
-  CommonMemory cm(1 << 16);
-  Allocator alloc(cm);
-  int x = 0;
-  EXPECT_THROW(alloc.free(&x), std::invalid_argument);
-  alloc.free(nullptr);  // no-op
-}
-
-TEST(Allocator, ZeroBytesThrows) {
-  CommonMemory cm(1 << 16);
-  Allocator alloc(cm);
-  EXPECT_THROW((void)alloc.alloc(AllocAttr{}, 0, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the Device/Tile runtime itself: thread binding, clock
 // lifecycle, host synchronization primitives (host_sync and the
-// Rendezvous every host-side meeting is built on), reentrancy guards, the
-// spin-then-park decision of blocking waits, and the ScopedTimer helper.
+// Rendezvous every host-side meeting is built on), reentrancy guards, and
+// the spin-then-park decision of blocking waits.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,7 +20,6 @@
 namespace {
 
 using tilesim::Device;
-using tilesim::ScopedTimer;
 using tilesim::SimClock;
 using tilesim::Tile;
 
@@ -49,16 +48,6 @@ TEST(SimClock, ConcurrentAdvanceToIsMaxMonotone) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(c.now(), 7999u);
-}
-
-TEST(ScopedTimerTest, MeasuresScope) {
-  SimClock c;
-  tilesim::ps_t elapsed = 0;
-  {
-    ScopedTimer timer(c, elapsed);
-    c.advance(12345);
-  }
-  EXPECT_EQ(elapsed, 12345u);
 }
 
 TEST(DeviceRuntime, BindsOneThreadPerTileWithCurrent) {

@@ -406,10 +406,8 @@ TEST(ShardIndex, SelfRetrievalAtDistanceZero) {
     for (const int k : {5, 17}) {
       apps::cbir::generate_image(img, p.width, p.height,
                                  p.seed + static_cast<std::uint64_t>(k));
-      queries.push_back(FeatureCache::shared()
-                            .seeded(img, p.width, p.height,
-                                    p.seed + static_cast<std::uint64_t>(k))
-                            .feature);
+      queries.push_back(FeatureCache::shared().seeded(
+          img, p.width, p.height, p.seed + static_cast<std::uint64_t>(k)));
     }
     std::vector<Hit> out(2);
     index.query_batch(ctx, queries, out);

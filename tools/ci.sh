@@ -10,7 +10,8 @@
 # collectives, runtime, UDN, device runtime, the fork-join baseline and the
 # cluster, whose waits all meet in the one host rendezvous, and the probe's
 # consumers: metrics, profiler, flight recorder and time series, race
-# detector) under ThreadSanitizer and run them race-clean.
+# detector, and the CBIR app with its process-wide feature cache) under
+# ThreadSanitizer and run them race-clean.
 #
 # After the sanitizer stages, the fault-injection campaign (bench/ext_faults)
 # runs twice per seed over a fixed seed set and the outputs are diffed:
@@ -179,7 +180,7 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync," \
        "test_collectives, test_runtime, test_udn, test_device_runtime," \
        "test_compare, test_cluster, test_metrics, test_profiler," \
-       "test_flightrec, test_racecheck)"
+       "test_flightrec, test_racecheck, test_apps_cbir)"
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -188,7 +189,7 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   cmake --build "$TSAN_DIR" -j \
     --target test_nbi test_tmc_barrier test_barrier_sync test_collectives \
     test_runtime test_udn test_device_runtime test_compare test_cluster \
-    test_metrics test_profiler test_flightrec test_racecheck
+    test_metrics test_profiler test_flightrec test_racecheck test_apps_cbir
   # TSan exits non-zero (66) on any reported race even when gtest passes.
   "$TSAN_DIR"/tests/test_nbi
   "$TSAN_DIR"/tests/test_tmc_barrier
@@ -220,13 +221,17 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   "$TSAN_DIR"/tests/test_profiler
   "$TSAN_DIR"/tests/test_flightrec
   "$TSAN_DIR"/tests/test_racecheck
+  # PE threads and concurrent lookups share the process-wide FeatureCache.
+  # The 5500-image oracle sweep adds nothing under a sanitizer.
+  "$TSAN_DIR"/tests/test_apps_cbir \
+    --gtest_filter=-CbirOracle.EveryDefaultDatabaseImage
 else
   echo "== tsan: skipped (TSHMEM_CI_TSAN=0)"
 fi
 
 if [ "${TSHMEM_CI_ASAN:-1}" != "0" ]; then
   echo "== asan+ubsan (test_fault_injection, test_failure_injection," \
-       "test_nbi, test_flightrec)"
+       "test_nbi, test_flightrec, test_apps_cbir)"
   ASAN_DIR="${BUILD_DIR}-asan"
   cmake -B "$ASAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -234,7 +239,7 @@ if [ "${TSHMEM_CI_ASAN:-1}" != "0" ]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
   cmake --build "$ASAN_DIR" -j \
     --target test_fault_injection test_failure_injection test_nbi \
-    test_flightrec
+    test_flightrec test_apps_cbir
   # ASan/UBSan abort on the first finding, so a clean gtest pass means a
   # clean run (including the error/exception paths the fault tests force).
   "$ASAN_DIR"/tests/test_fault_injection
@@ -243,6 +248,9 @@ if [ "${TSHMEM_CI_ASAN:-1}" != "0" ]; then
   # Includes a Service that owns a recorder and a time series: its
   # teardown must touch no freed consumer.
   "$ASAN_DIR"/tests/test_flightrec
+  # The extractor's row and column pair loops, on the oracle's edge shapes.
+  "$ASAN_DIR"/tests/test_apps_cbir \
+    --gtest_filter=-CbirOracle.EveryDefaultDatabaseImage
 else
   echo "== asan+ubsan: skipped (TSHMEM_CI_ASAN=0)"
 fi
