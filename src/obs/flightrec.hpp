@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,9 +81,8 @@ class FlightRecorder final : public tilesim::Probe {
   // no lock — slot stores are published by a release store of next_seq,
   // and a concurrent snapshot drops any prefix the writer may have
   // overwritten during the copy (see snapshot()). A mutex here measurably
-  // throttles put-heavy benches (one lock per shmem op per PE). One cache
-  // line per PE: every recorded event writes its PE's next_seq.
-  struct alignas(64) PeRing {
+  // throttles put-heavy benches (one lock per shmem op per PE).
+  struct PeRing {
     std::vector<FrEvent> ring;  ///< capacity_ slots, seq % capacity_
     std::atomic<std::uint64_t> next_seq{0};
   };
@@ -95,7 +95,7 @@ class FlightRecorder final : public tilesim::Probe {
   // benches), while stores only happen at the single-threaded safe points
   // on_clock_reset() is contractually confined to.
   std::atomic<tilesim::ps_t> epoch_base_ps_{0};
-  std::vector<PeRing> rings_;
+  std::vector<std::unique_ptr<PeRing>> rings_;
 };
 
 inline constexpr const char* kBlackboxSchema = "tshmem.blackbox.v1";

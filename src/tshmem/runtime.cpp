@@ -250,7 +250,7 @@ Context& Runtime::context(int pe) const {
 }
 
 void Runtime::note_delivery(int pe, ps_t completion) {
-  auto& slot = delivery_[static_cast<std::size_t>(pe)].completion;
+  auto& slot = *delivery_[static_cast<std::size_t>(pe)];
   ps_t cur = slot.load(std::memory_order_acquire);
   while (cur < completion &&
          !slot.compare_exchange_weak(cur, completion,
@@ -260,7 +260,7 @@ void Runtime::note_delivery(int pe, ps_t completion) {
 }
 
 ps_t Runtime::last_delivery(int pe) const {
-  return delivery_[static_cast<std::size_t>(pe)].completion.load(
+  return delivery_[static_cast<std::size_t>(pe)]->load(
       std::memory_order_acquire);
 }
 
@@ -338,14 +338,14 @@ TokenBarrier& Runtime::token_barrier_for(const ActiveSet& as) {
 
 void Runtime::note_op(int pe, const char* op) noexcept {
   if (pe < 0 || static_cast<std::size_t>(pe) >= pe_states_.size()) return;
-  PeState& st = pe_states_[static_cast<std::size_t>(pe)];
+  PeState& st = *pe_states_[static_cast<std::size_t>(pe)];
   st.op.store(op, std::memory_order_relaxed);
   st.op_seq.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Runtime::note_lock_delta(int pe, int delta) noexcept {
   if (pe < 0 || static_cast<std::size_t>(pe) >= pe_states_.size()) return;
-  pe_states_[static_cast<std::size_t>(pe)].held_locks.fetch_add(
+  pe_states_[static_cast<std::size_t>(pe)]->held_locks.fetch_add(
       delta, std::memory_order_relaxed);
 }
 
@@ -355,7 +355,7 @@ std::string Runtime::watchdog_report() const {
   for (int pe = 0; pe < npes_ && static_cast<std::size_t>(pe) <
                                      pe_states_.size();
        ++pe) {
-    const PeState& st = pe_states_[static_cast<std::size_t>(pe)];
+    const PeState& st = *pe_states_[static_cast<std::size_t>(pe)];
     const Tile& tile = device_.tile(pe);
     os << "\n  PE " << pe
        << ": op=" << st.op.load(std::memory_order_relaxed)
@@ -391,9 +391,15 @@ void Runtime::setup_job(int npes) {
                                  ArenaUnmap{arena_bytes});
   }
   contexts_.clear();
-  delivery_ = std::vector<DeliverySlot>(static_cast<std::size_t>(npes));
+  delivery_.clear();
   symmetry_slots_.assign(static_cast<std::size_t>(npes), 0);
-  pe_states_ = std::vector<PeState>(static_cast<std::size_t>(npes));
+  for (int pe = 0; pe < npes; ++pe) {
+    delivery_.push_back(std::make_unique<std::atomic<ps_t>>(0));
+  }
+  pe_states_.clear();
+  for (int pe = 0; pe < npes; ++pe) {
+    pe_states_.push_back(std::make_unique<PeState>());
+  }
   bounce_slots_.assign(static_cast<std::size_t>(npes), nullptr);
   bounce_slot_bytes_.assign(static_cast<std::size_t>(npes), 0);
   for (int pe = 0; pe < npes; ++pe) {

@@ -324,7 +324,7 @@ class Runtime {
   std::size_t racecheck_granule_ = 8;
   std::unique_ptr<analysis::RaceDetector> race_detector_;  // per-run
   std::vector<analysis::RaceReport> race_reports_;
-  std::vector<PeState> pe_states_;
+  std::vector<std::unique_ptr<PeState>> pe_states_;
   std::atomic<bool> running_{false};
 
   int npes_ = 0;
@@ -340,12 +340,7 @@ class Runtime {
   std::vector<std::unique_ptr<std::byte, ArenaUnmap>> private_arenas_;
   std::vector<std::unique_ptr<Context>> contexts_;
 
-  // One cache line per PE: every put into a PE raises its delivery time,
-  // which that PE's wait_until reads.
-  struct alignas(64) DeliverySlot {
-    std::atomic<ps_t> completion{0};
-  };
-  std::vector<DeliverySlot> delivery_;
+  std::vector<std::unique_ptr<std::atomic<ps_t>>> delivery_;
   std::vector<std::uint64_t> symmetry_slots_;
 
   // Persistent per-PE bounce slots (see alloc_bounce): indexed by PE, each
