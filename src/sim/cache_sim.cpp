@@ -61,7 +61,7 @@ bool SetAssocCache::access(std::uint64_t addr) {
   return false;
 }
 
-bool SetAssocCache::probe(std::uint64_t addr) const {
+bool SetAssocCache::resident(std::uint64_t addr) const {
   const std::size_t set = set_index(addr);
   const std::uint64_t tag = tag_of(addr);
   const Way* begin = entries_.data() + set * ways_;
@@ -151,14 +151,6 @@ double CacheSim::stream_copy_mbps(std::uint64_t src_base,
   const double ns = cycles * 1000.0 / (cfg_->clock_ghz * 1000.0);
   if (ns <= 0.0) return 0.0;
   return static_cast<double>(bytes) * 1e3 / ns;  // bytes/ns -> MB/s
-}
-
-void CacheSim::observe_copy(std::uint64_t src_base, std::uint64_t dst_base,
-                            std::size_t bytes, Homing homing) {
-  for (std::size_t off = 0; off < bytes; off += kLineBytes) {
-    access(src_base + off, homing);
-    access(dst_base + off, homing);
-  }
 }
 
 AccessCounts CacheSim::sweep(std::uint64_t base, std::size_t bytes, int passes,

@@ -31,7 +31,7 @@ class SetAssocCache {
   bool access(std::uint64_t addr);
 
   /// Is the line currently resident (no state change)?
-  [[nodiscard]] bool probe(std::uint64_t addr) const;
+  [[nodiscard]] bool resident(std::uint64_t addr) const;
 
   void invalidate_all();
 
@@ -103,12 +103,6 @@ class CacheSim {
   /// reads + writes) and returns the modeled effective bandwidth in MB/s.
   double stream_copy_mbps(std::uint64_t src_base, std::uint64_t dst_base,
                           std::size_t bytes, Homing homing);
-
-  /// Observation-only variant: walks the same line-granular access stream
-  /// purely to update hit/miss counts (the metrics cache probe). No timing
-  /// output, never touches any clock.
-  void observe_copy(std::uint64_t src_base, std::uint64_t dst_base,
-                    std::size_t bytes, Homing homing);
 
   /// Sweeps one buffer of `bytes` `passes` times and reports the counts of
   /// the final pass — exposes the steady-state residency level.

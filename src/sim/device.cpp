@@ -43,20 +43,6 @@ void Tile::charge_calls(std::uint64_t n) {
 
 void Tile::charge_copy(const CopyRequest& req) {
   clock_.advance(device_->mem_model().copy_cost_ps(req));
-  if (device_->cache_probes_enabled()) {
-    std::scoped_lock lk(probe_mu_);
-    if (!probe_) probe_ = std::make_unique<CacheSim>(device_->config());
-    std::uint64_t src = req.src_addr;
-    std::uint64_t dst = req.dst_addr;
-    if (src == 0 && dst == 0) {
-      // No endpoint addresses supplied: walk a synthetic fresh-address
-      // stream (conservative — counts as streaming new memory).
-      src = probe_cursor_;
-      dst = probe_cursor_ + req.bytes;
-      probe_cursor_ += 2 * req.bytes;
-    }
-    probe_->observe_copy(src, dst, req.bytes, req.homing);
-  }
 }
 
 Device::Device(const DeviceConfig& cfg)

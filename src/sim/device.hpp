@@ -7,10 +7,8 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "sim/cache_sim.hpp"
 #include "sim/clock.hpp"
 #include "sim/config.hpp"
 #include "sim/dma.hpp"
@@ -51,26 +49,13 @@ class Tile {
   [[nodiscard]] DmaEngine& dma() noexcept { return *dma_; }
   [[nodiscard]] const DmaEngine& dma() const noexcept { return *dma_; }
 
-  /// Mechanistic cache probe (metrics only; see Device::enable_cache_probes).
-  /// Null until this tile's first charged copy with probes enabled. Purely
-  /// observational — it never contributes to virtual time; the analytic
-  /// MemModel stays authoritative.
-  [[nodiscard]] const CacheSim* cache_probe() const noexcept {
-    return probe_.get();
-  }
-
  private:
   friend class Device;
 
   Device* device_;
   int id_;
   SimClock clock_;
-  // Probe state is mutex-guarded because interrupt emulation lets another
-  // tile's thread charge copies to this tile (tmc/interrupt.hpp).
-  std::mutex probe_mu_;
-  std::unique_ptr<CacheSim> probe_;
   std::unique_ptr<DmaEngine> dma_;
-  std::uint64_t probe_cursor_ = std::uint64_t{1} << 40;  ///< synthetic addrs
 };
 
 /// The whole simulated processor. Construct once per device config; call
@@ -132,16 +117,6 @@ class Device {
     return clock_generation_.load(std::memory_order_acquire);
   }
 
-  /// Streams every charged copy through a per-tile CacheSim (metrics
-  /// instrumentation: per-tile L1/L2/DDC/DRAM hit counts). A tile's probe
-  /// is built at its first charged copy, so tiles that never copy cost
-  /// nothing. Zero virtual-time cost; host-side cost only, so it is opt-in.
-  /// Idempotent.
-  void enable_cache_probes() noexcept { cache_probes_ = true; }
-  [[nodiscard]] bool cache_probes_enabled() const noexcept {
-    return cache_probes_;
-  }
-
   /// Attach (or detach with nullptr) a fault-injection engine. The engine
   /// must outlive its attachment. With no engine attached every hardened
   /// layer takes its zero-cost fast path.
@@ -174,7 +149,6 @@ class Device {
   std::vector<Probe*> probes_;
   FaultEngine* fault_ = nullptr;
   const Watchdog* watchdog_ = nullptr;
-  bool cache_probes_ = false;
   std::atomic<std::uint64_t> clock_generation_{0};
 };
 

@@ -24,12 +24,6 @@ struct CopyRequest {
   Homing homing = Homing::kHashForHome;  ///< homing of the shared page(s)
   int concurrent_readers = 1;  ///< streams concurrently reading the source
   int concurrent_writers = 1;  ///< streams concurrently writing the target
-  /// Host addresses of the endpoints — ignored by the analytic model, but
-  /// fed to the per-tile cache probe (metrics) so hit/miss counts reflect
-  /// the run's actual locality. 0 when the caller has no address (the probe
-  /// then uses a synthetic stream).
-  std::uint64_t src_addr = 0;
-  std::uint64_t dst_addr = 0;
 };
 
 class MemModel {

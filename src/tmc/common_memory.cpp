@@ -1,5 +1,7 @@
 #include "tmc/common_memory.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <new>
 #include <stdexcept>
@@ -19,16 +21,19 @@ CommonMemory::CommonMemory(std::size_t bytes) {
     throw std::invalid_argument("CommonMemory needs a non-empty arena");
   }
   arena_bytes_ = align_up(bytes);
-  arena_.reset(static_cast<std::byte*>(
-      ::operator new[](arena_bytes_, std::align_val_t{64})));
   free_list_.push_back(FreeBlock{0, arena_bytes_});
+  // MAP_NORESERVE: no swap or commit charge up front, so a 27 GB arena
+  // (pro64 at fig14 --full) reserves address space only.
+  void* arena = ::mmap(nullptr, arena_bytes_, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (arena == MAP_FAILED) throw std::bad_alloc();
+  arena_ = static_cast<std::byte*>(arena);
 }
 
-CommonMemory::~CommonMemory() = default;
+CommonMemory::~CommonMemory() { ::munmap(arena_, arena_bytes_); }
 
 std::size_t CommonMemory::offset_of(const void* p) const noexcept {
-  return static_cast<std::size_t>(static_cast<const std::byte*>(p) -
-                                  arena_.get());
+  return static_cast<std::size_t>(static_cast<const std::byte*>(p) - arena_);
 }
 
 void CommonMemory::set_map_fault_hook(MapFaultHook hook) {
@@ -64,12 +69,11 @@ void* CommonMemory::map(const std::string& name, std::size_t bytes,
       }
       Mapping m;
       m.name = name;
-      m.addr = arena_.get() + offset;
+      m.addr = arena_ + offset;
       m.bytes = want;
       m.homing = homing;
       m.creator_tile = creator_tile;
       mappings_.emplace(name, m);
-      by_offset_.emplace(offset, name);
       mapped_bytes_ += want;
       ++stats_.maps;
       stats_.peak_bytes = std::max(stats_.peak_bytes, mapped_bytes_);
@@ -87,7 +91,6 @@ void CommonMemory::unmap(const std::string& name) {
   }
   const std::size_t offset = offset_of(it->second.addr);
   free_list_.push_back(FreeBlock{offset, it->second.bytes});
-  by_offset_.erase(offset);
   mapped_bytes_ -= it->second.bytes;
   ++stats_.unmaps;
   mappings_.erase(it);
@@ -119,29 +122,9 @@ std::optional<CommonMemory::Mapping> CommonMemory::lookup(
   return it->second;
 }
 
-bool CommonMemory::contains(const void* p) const noexcept {
-  const auto* b = static_cast<const std::byte*>(p);
-  return b >= arena_.get() && b < arena_.get() + arena_bytes_;
-}
-
-Homing CommonMemory::homing_of(const void* p) const {
-  if (!contains(p)) return Homing::kHashForHome;
-  std::scoped_lock lk(mu_);
-  const std::size_t off = offset_of(p);
-  auto it = by_offset_.upper_bound(off);
-  if (it == by_offset_.begin()) return Homing::kHashForHome;
-  --it;
-  const Mapping& m = mappings_.at(it->second);
-  const std::size_t start = offset_of(m.addr);
-  if (off < start + m.bytes) return m.homing;
-  return Homing::kHashForHome;
-}
-
 std::size_t CommonMemory::bytes_mapped() const {
   std::scoped_lock lk(mu_);
-  std::size_t total = 0;
-  for (const auto& [name, m] : mappings_) total += m.bytes;
-  return total;
+  return mapped_bytes_;
 }
 
 std::size_t CommonMemory::mapping_count() const {

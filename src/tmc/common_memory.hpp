@@ -4,16 +4,14 @@
 // mapped at the same virtual address in every process, so pointers can be
 // shared directly, and lets *any* process create new mappings that become
 // visible to the others. With tiles as threads both properties are native;
-// this class provides the allocation/mapping API, the address classifier
-// (shared vs private) TSHMEM's put/get paths depend on, and per-mapping
-// homing attributes.
+// this class provides the named allocation/mapping API over one reserved
+// arena, with a homing attribute per mapping.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -27,8 +25,10 @@ using tilesim::Homing;
 
 class CommonMemory {
  public:
-  /// One backing arena of `bytes`. All mappings are carved from it, so the
-  /// classifier is a simple range check.
+  /// One backing arena of `bytes`, reserved with an anonymous mmap: pages
+  /// are committed only when first touched, so the arena may exceed the
+  /// host's memory as long as the mappings actually used fit. All mappings
+  /// are carved from it. Throws std::bad_alloc when the mmap fails.
   explicit CommonMemory(std::size_t bytes);
   ~CommonMemory();
 
@@ -63,17 +63,6 @@ class CommonMemory {
 
   [[nodiscard]] std::optional<Mapping> lookup(const std::string& name) const;
 
-  /// True if `p` points into the common-memory arena (i.e. is shared).
-  [[nodiscard]] bool contains(const void* p) const noexcept;
-
-  /// Homing attribute of the mapping containing `p`; kHashForHome when the
-  /// pointer is not in any mapping (the device default).
-  [[nodiscard]] Homing homing_of(const void* p) const;
-
-  [[nodiscard]] void* base() const noexcept {
-    return static_cast<void*>(arena_.get());
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return arena_bytes_; }
   [[nodiscard]] std::size_t bytes_mapped() const;
   [[nodiscard]] std::size_t mapping_count() const;
 
@@ -92,20 +81,12 @@ class CommonMemory {
   };
 
   mutable std::mutex mu_;
-  // Deliberately uninitialized backing storage (no value-init): arenas can
-  // be gigabytes and zero-filling them would dominate Runtime startup.
-  // Allocated with 64-byte alignment so mapped segments stay line-aligned.
-  struct ArenaDeleter {
-    void operator()(std::byte* p) const noexcept {
-      ::operator delete[](p, std::align_val_t{64});
-    }
-  };
-  std::unique_ptr<std::byte[], ArenaDeleter> arena_;
+  // Page-aligned, so mapped segments stay line-aligned.
+  std::byte* arena_ = nullptr;
   std::size_t arena_bytes_ = 0;
-  std::vector<FreeBlock> free_list_;              // sorted by offset
-  std::map<std::string, Mapping> mappings_;       // by name
-  std::map<std::size_t, std::string> by_offset_;  // mapping start -> name
-  std::size_t mapped_bytes_ = 0;                  // current bytes mapped
+  std::vector<FreeBlock> free_list_;         // sorted by offset
+  std::map<std::string, Mapping> mappings_;  // by name
+  std::size_t mapped_bytes_ = 0;             // current bytes mapped
   Stats stats_;
   MapFaultHook map_fault_hook_;
 

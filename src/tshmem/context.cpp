@@ -480,8 +480,7 @@ void Context::transfer_nbi(void* target, const void* source,
                                 bytes, 0, d.start_ps, d.complete_ps});
   // The host-side copy happens eagerly; virtual time defers delivery to the
   // descriptor's completion timestamp (the same host-eager/virtual-deferred
-  // split every blocking path already relies on). The DMA engine bypasses
-  // the issuing tile's caches, so no cache probe sees this stream.
+  // split every blocking path already relies on).
   if (is_put && pe != pe_) rt_->note_delivery(pe, d.complete_ps);
   do_memcpy_visible(dst, src, bytes);
   if (race_ != nullptr) {

@@ -152,9 +152,6 @@ Runtime::Runtime(const DeviceConfig& cfg, RuntimeOptions opts)
   }
   metrics_enabled_ = metrics_env_enabled(opts.metrics);
   if (metrics_enabled_) {
-    // The analytic MemModel is the timing hot path; the cache probes only
-    // mirror the access stream to produce hit/miss counts for the scrape.
-    device_.enable_cache_probes();
     op_metrics_ = std::make_unique<obs::OpMetrics>(device_, registry_);
     device_.attach_probe(op_metrics_.get());
   }
@@ -574,7 +571,6 @@ void Runtime::scrape_run_stats() {
   const auto tiles = static_cast<std::size_t>(device_.tile_count());
   if (scraped_udn_.size() != tiles) {
     scraped_udn_.assign(tiles, {});
-    scraped_cache_.assign(tiles, {});
     scraped_interrupts_.assign(tiles, 0);
   }
   auto delta = [](std::uint64_t cur, std::uint64_t& prev) {
@@ -625,20 +621,6 @@ void Runtime::scrape_run_stats() {
     } else {
       up.retries = traffic.retries;
       up.backoff_ps = traffic.backoff_ps;
-    }
-
-    if (device_.cache_probes_enabled()) {
-      // A tile builds its probe at its first copy; until then it has
-      // counted nothing.
-      const tilesim::CacheSim* probe = tile.cache_probe();
-      const tilesim::AccessCounts c =
-          probe != nullptr ? probe->counts() : tilesim::AccessCounts{};
-      auto& cp = scraped_cache_[static_cast<std::size_t>(pe)];
-      obs::add_count(registry_, "cache.l1_hits", pe, delta(c.l1, cp.l1));
-      obs::add_count(registry_, "cache.l2_hits", pe, delta(c.l2, cp.l2));
-      obs::add_count(registry_, "cache.ddc_hits", pe, delta(c.ddc, cp.ddc));
-      obs::add_count(registry_, "cache.dram_accesses", pe,
-                     delta(c.dram, cp.dram));
     }
 
     Context& ctx = *contexts_[static_cast<std::size_t>(pe)];

@@ -367,7 +367,6 @@ class Runtime {
   // each end-of-run scrape adds only the delta since the previous scrape so
   // registry counters stay correct across multiple run() calls.
   std::vector<tmc::UdnFabric::TileTraffic> scraped_udn_;
-  std::vector<tilesim::AccessCounts> scraped_cache_;
   std::vector<std::uint64_t> scraped_interrupts_;
   tmc::CommonMemory::Stats scraped_cmem_;
   std::map<std::pair<int, int>, std::uint64_t> scraped_fault_;  // (site,tile)
@@ -383,8 +382,8 @@ class Runtime {
   void* map_with_retry(const std::string& name, std::size_t bytes,
                        tilesim::Homing homing, int tile);
   /// End-of-run scrape of layer-internal stats into the registry (UDN
-  /// traffic, cache-probe counts, busy/idle time, heap/cmem occupancy,
-  /// interrupts raised, injected faults and the NBI fallbacks they forced).
+  /// traffic, busy/idle time, heap/cmem occupancy, interrupts raised,
+  /// injected faults and the NBI fallbacks they forced).
   void scrape_run_stats();
 };
 

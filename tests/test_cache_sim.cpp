@@ -47,17 +47,17 @@ TEST(SetAssocCache, LruEvictionWithinSet) {
   c.access(128);  // set 0, way B
   c.access(0);    // touch A -> B becomes LRU
   c.access(256);  // set 0, evicts B (128)
-  EXPECT_TRUE(c.probe(0));
-  EXPECT_FALSE(c.probe(128));
-  EXPECT_TRUE(c.probe(256));
+  EXPECT_TRUE(c.resident(0));
+  EXPECT_FALSE(c.resident(128));
+  EXPECT_TRUE(c.resident(256));
 }
 
 TEST(SetAssocCache, InvalidateAll) {
   SetAssocCache c(4096, 64, 2);
   c.access(0);
-  ASSERT_TRUE(c.probe(0));
+  ASSERT_TRUE(c.resident(0));
   c.invalidate_all();
-  EXPECT_FALSE(c.probe(0));
+  EXPECT_FALSE(c.resident(0));
 }
 
 TEST(SetAssocCache, WorkingSetWithinCapacityAlwaysHitsAfterWarmup) {

@@ -1,10 +1,14 @@
-// Tests for TMC common memory: mapping semantics, the address classifier,
-// homing attributes, and free-list reuse.
+// Tests for TMC common memory: mapping semantics, free-list reuse, and the
+// reserved (not committed) arena behind a paper-scale Runtime.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <string>
 
 #include "tmc/common_memory.hpp"
+#include "tshmem/context.hpp"
+#include "tshmem/runtime.hpp"
 
 namespace {
 
@@ -32,27 +36,6 @@ TEST(CommonMemory, AnyTileCanCreateVisibleMappings) {
   ASSERT_TRUE(seen.has_value());
   EXPECT_EQ(seen->addr, by_tile5);
   EXPECT_EQ(seen->creator_tile, 5);
-}
-
-TEST(CommonMemory, ContainsClassifiesPointers) {
-  CommonMemory cm(1 << 16);
-  void* p = cm.map("a", 256, Homing::kHashForHome, 0);
-  EXPECT_TRUE(cm.contains(p));
-  EXPECT_TRUE(cm.contains(static_cast<std::byte*>(p) + 255));
-  int on_stack = 0;
-  EXPECT_FALSE(cm.contains(&on_stack));
-  EXPECT_FALSE(cm.contains(nullptr));
-}
-
-TEST(CommonMemory, HomingOfMapping) {
-  CommonMemory cm(1 << 16);
-  void* a = cm.map("local", 256, Homing::kLocal, 0);
-  void* b = cm.map("remote", 256, Homing::kRemote, 0);
-  EXPECT_EQ(cm.homing_of(a), Homing::kLocal);
-  EXPECT_EQ(cm.homing_of(static_cast<std::byte*>(a) + 100), Homing::kLocal);
-  EXPECT_EQ(cm.homing_of(b), Homing::kRemote);
-  int other = 0;
-  EXPECT_EQ(cm.homing_of(&other), Homing::kHashForHome);  // device default
 }
 
 TEST(CommonMemory, DuplicateNameThrows) {
@@ -115,6 +98,36 @@ TEST(CommonMemory, DataSurvivesOtherMappings) {
   (void)cm.map("other", 256, Homing::kLocal, 0);
   cm.unmap("other");
   for (int i = 0; i < 256; ++i) EXPECT_EQ(p[i], std::byte{0xab});
+}
+
+TEST(CommonMemory, PaperScaleArenaIsReservedNotCommitted) {
+  // fig14 --full's heap: the 22,000-image database per PE plus 64 MiB. The
+  // pro64 Runtime reserves 64 such partitions (about 27 GB) of common
+  // memory, more than a 16 GB host can commit; a 2-PE job touches two.
+  std::string mode;
+  std::ifstream("/proc/sys/vm/overcommit_memory") >> mode;
+  if (mode == "2") {
+    GTEST_SKIP() << "strict overcommit ignores MAP_NORESERVE";
+  }
+  tshmem::RuntimeOptions opts;
+  opts.heap_per_pe = std::size_t{22000} * 128 * 128 + (std::size_t{64} << 20);
+  tshmem::Runtime rt(tilesim::tile_pro64(), opts);
+  rt.run(2, [](tshmem::Context& ctx) {
+    constexpr int kWords = 1024;
+    const int me = ctx.my_pe();
+    const int other = 1 - me;
+    long* buf = ctx.shmalloc_n<long>(kWords);
+    long src[kWords];
+    for (int i = 0; i < kWords; ++i) src[i] = me * 100000L + i;
+    ctx.put(buf, src, sizeof(src), other);
+    ctx.barrier_all();
+    for (int i = 0; i < kWords; ++i) EXPECT_EQ(buf[i], other * 100000L + i);
+    long back[kWords] = {};
+    ctx.get(back, buf, sizeof(back), other);
+    for (int i = 0; i < kWords; ++i) EXPECT_EQ(back[i], me * 100000L + i);
+    ctx.barrier_all();
+    ctx.shfree(buf);
+  });
 }
 
 }  // namespace

@@ -350,9 +350,6 @@ TEST(Metrics, RuntimeCollectsAllSubsystems) {
     EXPECT_GE(hist_count("shmem.barrier.wait_ps", pe), 3u);
     EXPECT_GT(counter("sim.tile.busy_ps", pe), 0u);
     EXPECT_GT(counter("udn.packets", pe), 0u);
-    EXPECT_GT(counter("cache.l1_hits", pe) + counter("cache.l2_hits", pe) +
-                  counter("cache.dram_accesses", pe),
-              0u);
   }
   // Device-wide metrics live at pe = -1.
   EXPECT_GT(counter("tmc.cmem.maps", -1), 0u);

@@ -10,8 +10,9 @@
 # collectives, runtime, UDN, device runtime, the fork-join baseline and the
 # cluster, whose waits all meet in the one host rendezvous, and the probe's
 # consumers: metrics, profiler, flight recorder and time series, race
-# detector, and the CBIR app with its process-wide feature cache) under
-# ThreadSanitizer and run them race-clean.
+# detector, the CBIR app with its process-wide feature cache, and the
+# serving layer over its replica clusters) under ThreadSanitizer and run
+# them race-clean.
 #
 # After the sanitizer stages, the fault-injection campaign (bench/ext_faults)
 # runs twice per seed over a fixed seed set and the outputs are diffed:
@@ -180,7 +181,7 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync," \
        "test_collectives, test_runtime, test_udn, test_device_runtime," \
        "test_compare, test_cluster, test_metrics, test_profiler," \
-       "test_flightrec, test_racecheck, test_apps_cbir)"
+       "test_flightrec, test_racecheck, test_apps_cbir, test_svc)"
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -189,7 +190,8 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   cmake --build "$TSAN_DIR" -j \
     --target test_nbi test_tmc_barrier test_barrier_sync test_collectives \
     test_runtime test_udn test_device_runtime test_compare test_cluster \
-    test_metrics test_profiler test_flightrec test_racecheck test_apps_cbir
+    test_metrics test_profiler test_flightrec test_racecheck test_apps_cbir \
+    test_svc
   # TSan exits non-zero (66) on any reported race even when gtest passes.
   "$TSAN_DIR"/tests/test_nbi
   "$TSAN_DIR"/tests/test_tmc_barrier
@@ -225,6 +227,9 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   # The 5500-image oracle sweep adds nothing under a sanitizer.
   "$TSAN_DIR"/tests/test_apps_cbir \
     --gtest_filter=-CbirOracle.EveryDefaultDatabaseImage
+  # The service's replicas run clusters of PE threads behind one router,
+  # and calibration shares the process-wide feature cache.
+  "$TSAN_DIR"/tests/test_svc
 else
   echo "== tsan: skipped (TSHMEM_CI_TSAN=0)"
 fi
