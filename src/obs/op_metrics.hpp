@@ -27,8 +27,6 @@ class OpMetrics final : public tilesim::Probe {
                      tilesim::ps_t now) override;
   void on_span_end(int tile, tilesim::ps_t now) override;
   void on_event(int tile, const tilesim::ProbeEvent& e) override;
-  /// Counts ops only, so a job keeps the token barrier's host rendezvous.
-  [[nodiscard]] bool records_messages() const override { return false; }
 
  private:
   template <typename T>

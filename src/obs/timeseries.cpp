@@ -9,6 +9,25 @@
 
 namespace obs {
 
+namespace {
+
+/// The element of `v` (ascending by key()) whose key is `fresh`'s,
+/// inserted in order as `fresh` when missing. PEs reach windows in nearly
+/// ascending order, so the back is checked first.
+template <typename T>
+T& find_or_insert(std::vector<T>& v, const T& fresh) {
+  const auto key = fresh.key();
+  if (v.empty() || v.back().key() < key) return v.emplace_back(fresh);
+  if (v.back().key() == key) return v.back();
+  auto it = std::lower_bound(
+      v.begin(), v.end(), key,
+      [](const T& e, const decltype(key)& k) { return e.key() < k; });
+  if (it->key() != key) it = v.insert(it, fresh);
+  return *it;
+}
+
+}  // namespace
+
 TimeSeries::TimeSeries(tilesim::ps_t window_ps, int npes)
     : window_ps_(window_ps), cells_(static_cast<std::size_t>(npes)) {
   if (window_ps <= 0) {
@@ -25,24 +44,30 @@ std::uint64_t TimeSeries::window_of(tilesim::ps_t vt) const {
   return (epoch_base_ps_.load(std::memory_order_relaxed) + vt) / window_ps_;
 }
 
-TimeSeries::Cell& TimeSeries::cell_at(const std::string& name,
-                                      tilesim::ps_t vt) {
-  return series_[name][window_of(vt)];
+void TimeSeries::add_sample(Series& s, std::uint64_t window,
+                            std::uint64_t value) {
+  Bucket& b = find_or_insert(
+      s.buckets,
+      Bucket{window, Log2Histogram::bucket_of(value), 0, 0, value, value});
+  b.count += 1;
+  b.sum += value;
+  b.min = std::min(b.min, value);
+  b.max = std::max(b.max, value);
 }
 
 void TimeSeries::series_add(const std::string& name, tilesim::ps_t vt,
                             std::uint64_t delta) {
   std::scoped_lock lk(mu_);
-  cell_at(name, vt).count += delta;
+  find_or_insert(series_[name].cells, Cell{window_of(vt)}).count += delta;
 }
 
 void TimeSeries::series_sample(const std::string& name, tilesim::ps_t vt,
                                std::uint64_t value) {
   std::scoped_lock lk(mu_);
-  Cell& c = cell_at(name, vt);
-  c.count += 1;
-  if (!c.hist) c.hist = std::make_unique<Log2Histogram>();
-  c.hist->record(value);
+  Series& s = series_[name];
+  const std::uint64_t w = window_of(vt);
+  find_or_insert(s.cells, Cell{w}).count += 1;
+  add_sample(s, w, value);
 }
 
 void TimeSeries::flush(EventCell& c) const {
@@ -50,9 +75,16 @@ void TimeSeries::flush(EventCell& c) const {
   for (std::size_t k = 0; k < c.counts.size(); ++k) {
     if (c.counts[k] == 0) continue;
     const auto kind = static_cast<tilesim::ProbeKind>(k);
-    series_[std::string("event.") + tilesim::probe_kind_name(kind)]
-           [c.window].count += c.counts[k];
+    Series& s =
+        series_[std::string("event.") + tilesim::probe_kind_name(kind)];
+    find_or_insert(s.cells, Cell{c.window}).count += c.counts[k];
     c.counts[k] = 0;
+  }
+  if (!c.barrier_ps.empty()) {
+    Series& s = series_["shmem.barrier.ps"];
+    find_or_insert(s.cells, Cell{c.window}).count += c.barrier_ps.size();
+    for (const std::uint64_t v : c.barrier_ps) add_sample(s, c.window, v);
+    c.barrier_ps.clear();
   }
   c.dirty = false;
 }
@@ -67,10 +99,8 @@ void TimeSeries::on_event(int pe, const tilesim::ProbeEvent& e) {
   }
   c.window = w;
   c.counts[static_cast<std::size_t>(e.kind)] += 1;
+  if (e.kind == tilesim::ProbeKind::kBarrier) c.barrier_ps.push_back(e.bytes);
   c.dirty = true;
-  if (e.kind == tilesim::ProbeKind::kBarrier) {
-    series_sample("shmem.barrier.ps", e.vt, e.bytes);
-  }
 }
 
 void TimeSeries::on_clock_reset() {
@@ -98,22 +128,36 @@ TimeSeriesReport TimeSeries::report() const {
   TimeSeriesReport rep;
   rep.window_ps = window_ps_;
   rep.series.reserve(series_.size());
-  for (const auto& [name, windows] : series_) {
+  HistogramSample samples;
+  for (const auto& [name, s] : series_) {
     SeriesTimeline tl;
     tl.name = name;
-    tl.windows.reserve(windows.size());
-    for (const auto& [index, cell] : windows) {
+    tl.windows.reserve(s.cells.size());
+    auto b = s.buckets.begin();
+    for (const Cell& cell : s.cells) {
       SeriesWindow w;
-      w.index = index;
+      w.index = cell.window;
       w.start_ps = static_cast<tilesim::ps_t>(
-          index * static_cast<std::uint64_t>(window_ps_));
+          cell.window * static_cast<std::uint64_t>(window_ps_));
       w.count = cell.count;
-      if (cell.hist && cell.hist->count() > 0) {
+      samples.count = 0;
+      samples.sum = 0;
+      samples.max = 0;
+      samples.buckets.clear();
+      for (; b != s.buckets.end() && b->window == cell.window; ++b) {
+        samples.min =
+            samples.count == 0 ? b->min : std::min(samples.min, b->min);
+        samples.max = std::max(samples.max, b->max);
+        samples.count += b->count;
+        samples.sum += b->sum;
+        samples.buckets.push_back({b->bucket, b->count});
+      }
+      if (samples.count > 0) {
         w.has_samples = true;
-        w.sum = cell.hist->sum();
-        w.min = cell.hist->min();
-        w.max = cell.hist->max();
-        const LatencyQuantiles q = latency_quantiles(*cell.hist);
+        w.sum = samples.sum;
+        w.min = samples.min;
+        w.max = samples.max;
+        const LatencyQuantiles q = latency_quantiles(samples);
         w.p50 = q.p50;
         w.p99 = q.p99;
         w.p999 = q.p999;

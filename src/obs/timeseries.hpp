@@ -9,7 +9,15 @@
 //
 // As a tilesim::Probe consumer it counts every event in its kind's
 // "event.<kind>" series and samples each kBarrier event's `bytes` (the
-// barrier's virtual duration) as "shmem.barrier.ps".
+// barrier's virtual duration) as "shmem.barrier.ps". Each PE batches both
+// for its current window and merges them under the lock only when its
+// window advances.
+//
+// Storage is compact: a series keeps one (window, count) cell per
+// non-empty window and, for its samples, one row per non-empty (window,
+// log2 bucket), both in ascending window order. A report reads a window's
+// rows as a sparse HistogramSample, which obs::latency_quantiles reads
+// exactly as it reads the dense Log2Histogram of the same samples.
 //
 // Virtual times are epoch-local at ingestion: fold_epoch(extent), called
 // by the device-attached form at every Device::reset_clocks(), offsets
@@ -27,9 +35,9 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -75,9 +83,9 @@ class TimeSeries final : public tilesim::Probe {
   /// folds the finished epoch.
   TimeSeries(const tilesim::Device& device, tilesim::ps_t window_ps);
 
-  /// Batched per PE: takes the lock only when the PE's window advances
-  /// (or to sample a barrier). Events of PEs outside the cells are
-  /// dropped, as the recorder drops them.
+  /// Batched per PE: takes the lock only when the PE's window advances.
+  /// Events of PEs outside the cells are dropped, as the recorder drops
+  /// them.
   void on_event(int pe, const tilesim::ProbeEvent& e) override;
   void on_clock_reset() override;
 
@@ -100,27 +108,52 @@ class TimeSeries final : public tilesim::Probe {
   [[nodiscard]] tilesim::ps_t epoch_base_ps() const;
 
   /// Stable snapshot: series sorted by name, windows by index, quantiles
-  /// extracted from each window histogram. Folds in the event counts the
-  /// PEs have batched, so call it while no PE runs.
+  /// extracted from each window's samples. Folds in the events the PEs
+  /// have batched, so call it while no PE runs.
   [[nodiscard]] TimeSeriesReport report() const;
 
  private:
+  /// One non-empty window of a series: counter deltas plus samples.
   struct Cell {
+    std::uint64_t window = 0;
     std::uint64_t count = 0;
-    std::unique_ptr<Log2Histogram> hist;  ///< lazily created on first sample
+    [[nodiscard]] std::uint64_t key() const { return window; }
   };
 
-  /// One PE's event counts for its current window, written only by the
-  /// PE's own thread and flushed into series_ when the window advances.
+  /// The samples of one window that fell in one log2 bucket.
+  struct Bucket {
+    std::uint64_t window = 0;
+    int bucket = 0;
+    std::uint64_t count = 0;
+    std::uint64_t sum = 0;
+    std::uint64_t min = 0;
+    std::uint64_t max = 0;
+    [[nodiscard]] std::pair<std::uint64_t, int> key() const {
+      return {window, bucket};
+    }
+  };
+
+  /// Both vectors ascend by key(); every bucket's window has a cell.
+  struct Series {
+    std::vector<Cell> cells;
+    std::vector<Bucket> buckets;
+  };
+
+  /// One PE's event counts and barrier samples for its current window,
+  /// written only by the PE's own thread and flushed into series_ when the
+  /// window advances.
   struct alignas(64) EventCell {
     std::uint64_t window = 0;
     bool dirty = false;
     std::array<std::uint64_t, tilesim::kProbeKindCount> counts{};
+    std::vector<std::uint64_t> barrier_ps;  ///< kBarrier durations
   };
 
   /// Absolute window of epoch-local `vt`.
   [[nodiscard]] std::uint64_t window_of(tilesim::ps_t vt) const;
-  Cell& cell_at(const std::string& name, tilesim::ps_t vt);
+  /// Adds `value` to window `window`'s samples of `s` (not to its count).
+  static void add_sample(Series& s, std::uint64_t window,
+                         std::uint64_t value);
   void flush(EventCell& c) const;  ///< requires mu_
 
   tilesim::ps_t window_ps_;
@@ -129,9 +162,9 @@ class TimeSeries final : public tilesim::Probe {
   // Atomic, not mutex-guarded: on_event reads it for every event, while
   // folds only happen where no PE runs.
   std::atomic<tilesim::ps_t> epoch_base_ps_{0};
-  // report() flushes the batched counts: that changes where a count is
+  // report() flushes the batched events: that changes where a count is
   // kept, not what a report shows.
-  mutable std::map<std::string, std::map<std::uint64_t, Cell>> series_;
+  mutable std::map<std::string, Series> series_;
   mutable std::vector<EventCell> cells_;
 };
 

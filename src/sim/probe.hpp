@@ -10,6 +10,9 @@
 // epoch-local clock. on_clock_reset runs only at reset_clocks()'s
 // single-threaded safe points, so a consumer may read every tile's final
 // clock there. Every arrive of a rendezvous returns before any release.
+// Attaching a consumer never changes how the host runs a job: the linear
+// token barrier's host rendezvous reports the records its token messages
+// would (Context::barrier_linear).
 //
 // Outside src/obs/, report through ProbeSpan and the probe_* helpers (one
 // check and a branch with no consumer); lint rule R005 flags the rest.
@@ -189,9 +192,6 @@ class Probe {
   /// Every tile clock is about to reset to zero (epoch boundary); the
   /// clocks still hold the finished epoch's final values.
   virtual void on_clock_reset() {}
-  /// False for a consumer that only counts ops: it never sees the
-  /// individual token messages a linear barrier's host rendezvous skips.
-  [[nodiscard]] virtual bool records_messages() const { return true; }
 };
 
 /// One op, named once: reports span begin at construction and end at

@@ -1,9 +1,9 @@
 // The one place tile threads meet. Every host-side rendezvous in the tree
 // is this class with its own release math: Device::host_sync (none), the
 // TMC spin and sync barriers and compare::ForkJoin's fork through
-// tmc::VtBarrier (max arrival plus the barrier model), the plain-run linear
-// token barrier (tshmem::linear_token_schedule), and Cluster::run's start
-// and finish gates (none).
+// tmc::VtBarrier (max arrival plus the barrier model), the linear token
+// barrier (tshmem::linear_token_schedule), and Cluster::run's start and
+// finish gates (none).
 //
 // Members arrive by index with their clock. The last to arrive runs the
 // caller's release function over every arrival under the one lock, then

@@ -25,6 +25,9 @@ constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
 }
 
 using tilesim::guarded_wait;
+
+/// The sender's wait while the destination queue lacks room.
+constexpr const char* kQueueFullWait = "udn send: destination queue full";
 }  // namespace
 
 std::uint64_t udn_checksum(int src_tile, const UdnHeader& header,
@@ -117,17 +120,33 @@ ps_t UdnFabric::wire_latency_ps(int src_tile, int dst_tile, int words) const {
                              dst_tile, words);
 }
 
-void UdnFabric::count_traffic(int src_tile, int dst_tile, std::size_t words,
-                              std::uint64_t packets) {
-  TrafficCell& c = *traffic_[static_cast<std::size_t>(src_tile)];
-  c.packets.fetch_add(packets, std::memory_order_relaxed);
-  c.words.fetch_add(packets * words, std::memory_order_relaxed);
-  if (src_tile != dst_tile) {
-    c.hops.fetch_add(
-        packets * static_cast<std::uint64_t>(
-                      device_->topology().hops(src_tile, dst_tile)),
-        std::memory_order_relaxed);
+void UdnFabric::injected(Tile& sender, int dst_tile, std::size_t words) {
+  // Sender-side cost: injecting header+payload into the switch takes one
+  // cycle per word; the wire latency itself is charged to the receiver via
+  // the arrival timestamp.
+  sender.clock().advance(static_cast<ps_t>(words) *
+                         device_->config().cycle_ps());
+  TrafficCell& c = *traffic_[static_cast<std::size_t>(sender.id())];
+  c.packets.fetch_add(1, std::memory_order_relaxed);
+  c.words.fetch_add(words, std::memory_order_relaxed);
+  if (sender.id() != dst_tile) {
+    c.hops.fetch_add(static_cast<std::uint64_t>(
+                         device_->topology().hops(sender.id(), dst_tile)),
+                     std::memory_order_relaxed);
   }
+  tilesim::probe_event(sender, {tilesim::ProbeKind::kUdnSend, "udn_send",
+                                sender.clock().now(), dst_tile,
+                                words * sizeof(std::uint64_t)});
+}
+
+void UdnFabric::send_unqueued(Tile& sender, int dst_tile, std::size_t words) {
+  // guarded_wait's bracket: begin and end at the same clock, waited or not.
+  const ps_t now = sender.clock().now();
+  tilesim::probe_event(sender,
+                       {tilesim::ProbeKind::kWaitBegin, kQueueFullWait, now});
+  tilesim::probe_event(sender,
+                       {tilesim::ProbeKind::kWaitEnd, kQueueFullWait, now});
+  injected(sender, dst_tile, words);
 }
 
 void UdnFabric::send(Tile& sender, int dst_tile, int queue,
@@ -196,23 +215,15 @@ void UdnFabric::send(Tile& sender, int dst_tile, int queue,
   Queue& q = queue_at(dst_tile, queue);
   {
     std::unique_lock lk(q.mu);
-    guarded_wait(*device_, lk, q.cv_space, sender.id(),
-                 "udn send: destination queue full", [&] {
-                   return q.buffered_words + words.size() <=
-                          static_cast<std::size_t>(cfg.udn_max_payload_words);
-                 });
+    guarded_wait(*device_, lk, q.cv_space, sender.id(), kQueueFullWait, [&] {
+      return q.buffered_words + words.size() <=
+             static_cast<std::size_t>(cfg.udn_max_payload_words);
+    });
     q.buffered_words += words.size();
     q.packets.push_back(std::move(pkt));
   }
   q.cv_data.notify_one();
-  // Sender-side cost: injecting header+payload into the switch takes one
-  // cycle per word; the wire latency itself is charged to the receiver via
-  // the arrival timestamp.
-  sender.clock().advance(static_cast<ps_t>(words.size()) * cfg.cycle_ps());
-  count_traffic(sender.id(), dst_tile, words.size());
-  tilesim::probe_event(sender, {tilesim::ProbeKind::kUdnSend, "udn_send",
-                                sender.clock().now(), dst_tile,
-                                words.size() * sizeof(std::uint64_t)});
+  injected(sender, dst_tile, words.size());
 }
 
 void UdnFabric::send1(Tile& sender, int dst_tile, int queue,

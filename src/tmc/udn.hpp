@@ -122,12 +122,13 @@ class UdnFabric {
   [[nodiscard]] ps_t wire_latency_ps(int src_tile, int dst_tile,
                                      int words) const;
 
-  /// Adds `packets` packets of `words` payload words each, from src to
-  /// dst, to src's traffic counters, exactly as send() counts one packet.
-  /// For protocol layers that compute a message exchange in closed form
-  /// instead of sending it. Host-side only: zero virtual cost.
-  void count_traffic(int src_tile, int dst_tile, std::size_t words,
-                     std::uint64_t packets = 1);
+  /// What send() does on the sender's side when no fault engine is
+  /// attached and the destination queue has room, with no packet moving:
+  /// the full-queue wait bracket at the sender's clock, one injection
+  /// cycle per word, the traffic counters and the kUdnSend record. For
+  /// protocol layers that compute a message exchange in closed form; they
+  /// take each arrival time from the wire model themselves.
+  void send_unqueued(Tile& sender, int dst_tile, std::size_t words);
 
   /// Total words currently buffered in a destination queue (for tests).
   [[nodiscard]] std::size_t queued_words(int tile, int queue) const;
@@ -171,6 +172,9 @@ class UdnFabric {
 
   [[nodiscard]] Queue& queue_at(int tile, int queue) const;
   void check_queue_args(int tile, int queue) const;
+  /// The sender's side once a packet of `words` words is queued: the
+  /// injection cycles, the traffic counters and the kUdnSend record.
+  void injected(Tile& sender, int dst_tile, std::size_t words);
 };
 
 }  // namespace tmc

@@ -15,6 +15,11 @@ using tilesim::CopyRequest;
 using tilesim::MemSpace;
 using tilesim::ProbeKind;
 
+namespace {
+/// A control-message receive's one wait bracket, at its entry clock.
+constexpr const char* kCtrlRecvWait = "udn recv";
+}  // namespace
+
 Context::Context(Runtime& rt, int pe, Tile& tile, std::byte* partition,
                  std::size_t partition_bytes, std::byte* private_arena,
                  std::size_t private_bytes)
@@ -556,10 +561,15 @@ void Context::send_ctrl(int dst_pe, int queue, const CtrlMsg& msg) {
   if (race_ != nullptr) {
     race_->on_ctrl_send(pe_, dst_pe, queue, static_cast<int>(msg.tag));
   }
-  const std::uint64_t words[2] = {msg.word0(), msg.aux};
+  const std::uint64_t words[kCtrlMsgWords] = {msg.word0(), msg.aux};
   rt_->udn().send(*tile_, dst_pe, queue, words);
+  ctrl_sent(dst_pe);
+}
+
+void Context::ctrl_sent(int dst_pe) {
   tilesim::probe_event(*tile_, {ProbeKind::kCtrlSend, "ctrl_send",
-                                tile_->clock().now(), dst_pe, sizeof(words)});
+                                tile_->clock().now(), dst_pe,
+                                kCtrlMsgWords * sizeof(std::uint64_t)});
 }
 
 CtrlMsg Context::recv_ctrl(int queue, MsgTag tag, int src_pe,
@@ -571,26 +581,18 @@ CtrlMsg Context::recv_ctrl(int queue, MsgTag tag, int src_pe,
   // clock, stash or fabric alike: how many raw pulls a match takes depends
   // on host arrival order, so recv_raw reports none.
   const tilesim::ps_t wait_begin = tile_->clock().now();
-  tilesim::probe_event(*tile_, {ProbeKind::kWaitBegin, "udn recv", wait_begin});
+  tilesim::probe_event(*tile_,
+                       {ProbeKind::kWaitBegin, kCtrlRecvWait, wait_begin});
   auto consume = [&](int src, tilesim::ps_t arrival) {
     tilesim::probe_event(*tile_,
-                         {ProbeKind::kWaitEnd, "udn recv", wait_begin});
+                         {ProbeKind::kWaitEnd, kCtrlRecvWait, wait_begin});
     if (race_ != nullptr) {
       // Join the clock snapshot of the *matched* message: the tag+FIFO
       // discipline mirrors this function's own stash-or-match logic, so the
       // edge is protocol-determined, not host-schedule-determined.
       race_->on_ctrl_consume(pe_, src, queue, static_cast<int>(tag));
     }
-    tile_->clock().advance_to(arrival);
-    // No span here on purpose: the wait time must attribute to whatever
-    // enclosing phase (barrier/collective) issued the receive; the edge
-    // records which PE's send bounded us.
-    tilesim::probe_wait_edge(*tile_, src, ProbeKind::kCtrlRecv,
-                             "ctrl", wait_begin, arrival);
-    // Recorded on *match*, not packet arrival: the tag+FIFO discipline makes
-    // this edge protocol-determined even when arrivals race.
-    tilesim::probe_event(
-        *tile_, {ProbeKind::kCtrlRecv, "ctrl_recv", tile_->clock().now(), src});
+    ctrl_consumed(src, wait_begin, arrival);
   };
   auto& stash = ctrl_stash_[queue];
   for (std::size_t i = 0; i < stash.size(); ++i) {
@@ -616,6 +618,19 @@ CtrlMsg Context::recv_ctrl(int queue, MsgTag tag, int src_pe,
     }
     stash.push_back(StashedCtrl{pkt.src_tile, pkt.arrival_ps, msg});
   }
+}
+
+void Context::ctrl_consumed(int src_pe, ps_t wait_begin, ps_t arrival) {
+  tile_->clock().advance_to(arrival);
+  // No span here on purpose: the wait time must attribute to whatever
+  // enclosing phase (barrier/collective) issued the receive; the edge
+  // records which PE's send bounded us.
+  tilesim::probe_wait_edge(*tile_, src_pe, ProbeKind::kCtrlRecv, "ctrl",
+                           wait_begin, arrival);
+  // Recorded on *match*, not packet arrival: the tag+FIFO discipline makes
+  // this edge protocol-determined even when arrivals race.
+  tilesim::probe_event(*tile_, {ProbeKind::kCtrlRecv, "ctrl_recv",
+                                tile_->clock().now(), src_pe});
 }
 
 // ===========================================================================
@@ -674,27 +689,36 @@ void Context::barrier_linear(const ActiveSet& as, std::uint32_t seq) {
   const auto forward_cost = rt_->config().barrier_forward_ps;
 
   if (rt_->token_rendezvous()) {
-    // Nothing observes the tokens: take their arrival times from the
-    // closed form, then replay this PE's side of the loop below — the same
-    // advances and clock merges, the same two sends counted as traffic.
+    // Nothing perturbs the tokens: take their arrival times from the
+    // closed form, then replay this PE's side of the loop as the message
+    // path below runs it. Each send and receive makes the same clock
+    // advances and merges, the same traffic counts and the same probe
+    // records, in the same order.
     const TokenTimes t = rt_->token_barrier_for(as).wait(*tile_, idx);
-    const ps_t inject = 2 * rt_->config().cycle_ps();
-    auto forward = [&] {
+    auto send = [&] {
       tile_->clock().advance(forward_cost);
-      tile_->clock().advance(inject);
+      rt_->udn().send_unqueued(*tile_, next, kCtrlMsgWords);
+      ctrl_sent(next);
+    };
+    auto receive = [&](ps_t arrival) {
+      const ps_t begin = tile_->clock().now();
+      tilesim::probe_event(*tile_,
+                           {ProbeKind::kWaitBegin, kCtrlRecvWait, begin});
+      tilesim::probe_event(*tile_,
+                           {ProbeKind::kWaitEnd, kCtrlRecvWait, begin});
+      ctrl_consumed(prev, begin, arrival);
     };
     if (idx == 0) {
-      forward();
-      tile_->clock().advance_to(t.wait_in);
-      forward();
-      tile_->clock().advance_to(t.release_in);
+      send();
+      receive(t.wait_in);
+      send();
+      receive(t.release_in);
     } else {
-      tile_->clock().advance_to(t.wait_in);
-      forward();
-      tile_->clock().advance_to(t.release_in);
-      forward();
+      receive(t.wait_in);
+      send();
+      receive(t.release_in);
+      send();
     }
-    rt_->udn().count_traffic(pe_, next, /*words=*/2, /*packets=*/2);
     return;
   }
 

@@ -323,6 +323,13 @@ class Context {
   std::uint32_t next_barrier_seq(const ActiveSet& as);
   std::uint32_t next_collective_seq(const ActiveSet& as);
 
+  /// The records of a control message to `dst_pe` leaving this PE.
+  void ctrl_sent(int dst_pe);
+  /// Consumes a control message from `src_pe` that arrived at `arrival`,
+  /// in a receive entered at `wait_begin`: merges the clock and reports the
+  /// wait edge and kCtrlRecv.
+  void ctrl_consumed(int src_pe, ps_t wait_begin, ps_t arrival);
+
   void barrier_linear(const ActiveSet& as, std::uint32_t seq);
   void barrier_broadcast_release(const ActiveSet& as, std::uint32_t seq);
   void barrier_tmc_spin(const ActiveSet& as);

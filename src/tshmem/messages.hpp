@@ -7,6 +7,9 @@
 
 namespace tshmem {
 
+/// UDN words per control message: word0 and aux below.
+inline constexpr int kCtrlMsgWords = 2;
+
 enum class MsgTag : std::uint8_t {
   kBarrierWait = 1,
   kBarrierRelease = 2,

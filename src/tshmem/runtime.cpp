@@ -424,14 +424,9 @@ void Runtime::setup_job(int npes) {
   }
   if (op_metrics_ != nullptr) op_metrics_->begin_job(npes);
   // Fixed for the whole job: a PE on the message path and one in the
-  // rendezvous would never meet. Fault plans inject drops and delays on
-  // individual tokens, and most probes record each one.
-  token_rendezvous_ =
-      device_.fault() == nullptr &&
-      std::none_of(device_.probes().begin(), device_.probes().end(),
-                   [](const tilesim::Probe* p) {
-                     return p->records_messages();
-                   });
+  // rendezvous would never meet. A fault plan's verdicts act on each token
+  // send, and tshmem-check's vector clocks ride on each token.
+  token_rendezvous_ = device_.fault() == nullptr && race_detector_ == nullptr;
 }
 
 void Runtime::teardown_job() {

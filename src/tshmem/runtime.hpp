@@ -220,10 +220,10 @@ class Runtime {
   TokenBarrier& token_barrier_for(const ActiveSet& as);
   /// True when this job's linear token barriers run as one host rendezvous
   /// per barrier instead of 2n UDN messages. Chosen once per job in
-  /// setup_job: the messages stay whenever something records individual
-  /// tokens or can perturb them (a probe whose records_messages() is true,
-  /// or the fault engine). Both give the same virtual times and traffic
-  /// counts.
+  /// setup_job: the messages stay only for the fault engine, whose
+  /// verdicts act on each send, and for tshmem-check, whose vector clocks
+  /// ride on each token. Both paths give the same virtual times, traffic
+  /// counts and probe records.
   [[nodiscard]] bool token_rendezvous() const noexcept {
     return token_rendezvous_;
   }

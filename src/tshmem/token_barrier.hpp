@@ -2,13 +2,14 @@
 // that evaluates it.
 //
 // A WAIT token leaves the start tile, circulates through the active set and
-// returns; a RELEASE token then makes the same loop. When nothing observes
+// returns; a RELEASE token then makes the same loop. When nothing perturbs
 // the individual tokens, the timestamps every member sees are a pure
 // function of the members' arrival clocks: linear_token_schedule computes
 // them, and TokenBarrier gathers the arrivals in one tilesim::Rendezvous so
 // the last arriver can evaluate it and wake everyone at once, instead of 2n
 // chained thread handoffs. Each member then replays on its own clock the
-// advances the message path would have made (Context::barrier_linear).
+// advances and probe records the message path would have made
+// (Context::barrier_linear).
 #pragma once
 
 #include <span>
@@ -42,8 +43,7 @@ struct TokenTimes {
 class TokenBarrier {
  public:
   explicit TokenBarrier(const ActiveSet& as)
-      : meet_(as.pe_size, "token barrier",
-              tilesim::RendezvousReport::kSyncAndWait) {}
+      : meet_(as.pe_size, "token barrier", tilesim::RendezvousReport::kSync) {}
 
   /// Deposits the caller's clock as member `index`'s arrival, blocks until
   /// every member has arrived, and returns that member's token times. The

@@ -1,14 +1,20 @@
 // Tests for TSHMEM synchronization: the linear UDN token barrier (all
-// algorithms, and its closed-form rendezvous against the token messages),
+// algorithms, and its closed-form rendezvous against the token messages,
+// clock for clock and record for record),
 // active sets, fence/quiet, wait/wait_until, and locks.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <ostream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/exporters.hpp"
+#include "obs/flightrec.hpp"
+#include "obs/profiler.hpp"
+#include "obs/timeseries.hpp"
 #include "sim/fault.hpp"
 #include "tshmem/context.hpp"
 #include "tshmem/runtime.hpp"
@@ -260,22 +266,40 @@ void PrintTo(const TokenCase& c, std::ostream* os) {
       << c.set.log_pe_stride << "," << c.set.pe_size << "}";
 }
 
+// Each case's listed name: device, PE count, and whether the set strides.
+std::string token_case_name(const ::testing::TestParamInfo<TokenCase>& p) {
+  std::string name =
+      std::string(p.param.device) + "_n" + std::to_string(p.param.npes);
+  if (p.param.set.pe_size != 0) name += "_strided";
+  return name;
+}
+
 struct PeOutcome {
   ps_t now, busy, idle;
   std::uint64_t packets, words, hops;
   friend bool operator==(const PeOutcome&, const PeOutcome&) = default;
 };
 
-// Seeded per-PE clock skew, then three barriers back to back. Returns every
-// PE's final clock split and UDN traffic, and which host path the job took.
-std::vector<PeOutcome> run_token_case(const TokenCase& c, bool flightrec,
+const tilesim::DeviceConfig& device_of(const TokenCase& c) {
+  return std::string(c.device) == "pro64" ? tilesim::tile_pro64()
+                                          : tilesim::tile_gx36();
+}
+
+// The seam that forces the per-token message path: a fault plan whose only
+// fault acts on NBI descriptors, which these jobs never issue, still
+// attaches a fault engine, and its verdicts act on each token send.
+constexpr const char* kMessagePathPlan = "seed=1,dma_stall=0.5:1000";
+
+// Seeded per-PE clock skew, then three barriers back to back, with the
+// recorder and the time series attached. Returns every PE's final clock
+// split and UDN traffic, and which host path the job took.
+std::vector<PeOutcome> run_token_case(const TokenCase& c, bool messages,
                                       bool* rendezvous) {
-  const tilesim::DeviceConfig& cfg = std::string(c.device) == "pro64"
-                                         ? tilesim::tile_pro64()
-                                         : tilesim::tile_gx36();
   tshmem::RuntimeOptions opts;
-  opts.flightrec = flightrec;
-  Runtime rt(cfg, opts);
+  opts.flightrec = true;
+  opts.timeseries_window_ps = 1'000'000;
+  if (messages) opts.fault_plan = tilesim::FaultPlan::parse(kMessagePathPlan);
+  Runtime rt(device_of(c), opts);
   rt.run(c.npes, [&](Context& ctx) {
     if (ctx.my_pe() == 0) *rendezvous = ctx.runtime().token_rendezvous();
     const ActiveSet as = c.set.pe_size == 0 ? ctx.world() : c.set;
@@ -298,24 +322,24 @@ std::vector<PeOutcome> run_token_case(const TokenCase& c, bool flightrec,
 class TokenRendezvousTest : public ::testing::TestWithParam<TokenCase> {};
 
 TEST_P(TokenRendezvousTest, MatchesTokenMessages) {
-  // A plain runtime computes the loop in one host rendezvous; attaching
-  // the flight recorder selects the per-token message path. Clocks, the
-  // busy/idle split and traffic counters must agree PE for PE.
-  bool plain_rendezvous = false;
-  bool observed_rendezvous = true;
-  const auto plain = run_token_case(GetParam(), false, &plain_rendezvous);
-  const auto observed = run_token_case(GetParam(), true, &observed_rendezvous);
-  EXPECT_TRUE(plain_rendezvous);
-  EXPECT_FALSE(observed_rendezvous);
-  ASSERT_EQ(plain.size(), observed.size());
-  for (std::size_t pe = 0; pe < plain.size(); ++pe) {
-    EXPECT_EQ(plain[pe], observed[pe]) << "PE " << pe;
+  // An observed runtime computes the loop in one host rendezvous; a fault
+  // plan selects the per-token message path. Clocks, the busy/idle split
+  // and traffic counters must agree PE for PE.
+  bool on_rendezvous = false;
+  bool on_messages = true;
+  const auto rendezvous = run_token_case(GetParam(), false, &on_rendezvous);
+  const auto messages = run_token_case(GetParam(), true, &on_messages);
+  EXPECT_TRUE(on_rendezvous);
+  EXPECT_FALSE(on_messages);
+  ASSERT_EQ(rendezvous.size(), messages.size());
+  for (std::size_t pe = 0; pe < rendezvous.size(); ++pe) {
+    EXPECT_EQ(rendezvous[pe], messages[pe]) << "PE " << pe;
   }
   const ActiveSet as = GetParam().set.pe_size == 0
                            ? ActiveSet{0, 0, GetParam().npes}
                            : GetParam().set;
   // Three barriers, two tokens each, sent by every member.
-  EXPECT_EQ(plain[static_cast<std::size_t>(as.pe_at(0))].packets, 6u);
+  EXPECT_EQ(rendezvous[static_cast<std::size_t>(as.pe_at(0))].packets, 6u);
 }
 
 std::vector<TokenCase> token_cases() {
@@ -329,18 +353,12 @@ std::vector<TokenCase> token_cases() {
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Devices, TokenRendezvousTest, ::testing::ValuesIn(token_cases()),
-    [](const ::testing::TestParamInfo<TokenCase>& p) {
-      std::string name =
-          std::string(p.param.device) + "_n" + std::to_string(p.param.npes);
-      if (p.param.set.pe_size != 0) name += "_strided";
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(Devices, TokenRendezvousTest,
+                         ::testing::ValuesIn(token_cases()), token_case_name);
 
-// The rendezvous stays unless something records or perturbs individual
-// tokens: per-op metrics only count ops, so they keep it; the recorder, the
-// time series, the profiler, the race detector and a fault plan do not.
+// The rendezvous reports every token's records itself, so every probe
+// consumer keeps it. Only what acts on individual tokens takes the message
+// path: a fault plan's verdicts, and the race detector's vector clocks.
 TEST(TokenRendezvous, FollowsTheConsumerSet) {
   const auto rendezvous = [](const tshmem::RuntimeOptions& opts) {
     Runtime rt(tilesim::tile_gx36(), opts);
@@ -357,20 +375,140 @@ TEST(TokenRendezvous, FollowsTheConsumerSet) {
   EXPECT_TRUE(rendezvous(opts)) << "metrics alone";
   opts = {};
   opts.flightrec = true;
-  EXPECT_FALSE(rendezvous(opts)) << "flight recorder";
+  EXPECT_TRUE(rendezvous(opts)) << "flight recorder";
   opts = {};
   opts.timeseries_window_ps = 1'000'000;
-  EXPECT_FALSE(rendezvous(opts)) << "time series alone";
+  EXPECT_TRUE(rendezvous(opts)) << "time series alone";
   opts = {};
   opts.profile = true;
-  EXPECT_FALSE(rendezvous(opts)) << "profiler";
+  EXPECT_TRUE(rendezvous(opts)) << "profiler";
   opts = {};
   opts.racecheck = tshmem::analysis::RaceMode::kReport;
   EXPECT_FALSE(rendezvous(opts)) << "race detector";
   opts = {};
-  opts.fault_plan = tilesim::FaultPlan::parse("seed=1,dma_stall=0.5:1000");
+  opts.fault_plan = tilesim::FaultPlan::parse(kMessagePathPlan);
   EXPECT_FALSE(rendezvous(opts)) << "fault plan";
 }
+
+// What every probe consumer keeps of one job. Its per-PE recorder rings
+// hold the whole job.
+struct Observed {
+  bool rendezvous = false;
+  std::vector<std::vector<obs::FrEvent>> rings;
+  std::string timeseries;
+  std::string profile;
+  std::string trace;
+};
+
+constexpr std::size_t kRingCapacity = 1024;
+
+// Gets, puts and static puts (gx36 only: the TILEPro has no static
+// transfers) between seeded clock skews and barriers, over one epoch
+// boundary, with the recorder, the time series, the profiler and a trace
+// log attached.
+Observed run_observed_case(const TokenCase& c, bool messages) {
+  const bool statics = std::string(c.device) == "gx36";
+  tshmem::RuntimeOptions opts;
+  opts.flightrec = true;
+  opts.flightrec_capacity = kRingCapacity;
+  opts.timeseries_window_ps = 2'000'000;
+  opts.profile = true;
+  if (messages) opts.fault_plan = tilesim::FaultPlan::parse(kMessagePathPlan);
+  Runtime rt(device_of(c), opts);
+  obs::TraceLog log(rt.device());
+  rt.device().attach_probe(&log);
+  Observed out;
+  rt.run(c.npes, [&](Context& ctx) {
+    const int me = ctx.my_pe();
+    if (me == 0) out.rendezvous = ctx.runtime().token_rendezvous();
+    long* dyn = ctx.shmalloc_n<long>(8);
+    long* stat = statics ? ctx.static_sym<long>("token_records", 8) : nullptr;
+    ctx.barrier_all();
+    const ActiveSet as = c.set.pe_size == 0 ? ctx.world() : c.set;
+    std::mt19937_64 rng(7919u * static_cast<unsigned>(c.npes) +
+                        static_cast<unsigned>(me));
+    for (int round = 0; round < 4; ++round) {
+      if (round == 2) ctx.harness_sync_reset();
+      if (!as.contains(me)) continue;
+      ctx.clock().advance(rng() % 3'000'000);
+      // Slots 0-3 of both arrays take the previous member's puts, slot 4
+      // is this PE's own get target and put source, and slot 5, which the
+      // next member reads, is never written.
+      const int peer = as.pe_at((as.index_of(me) + 1) % as.pe_size);
+      ctx.put(dyn + round, dyn + 4, sizeof(long), peer);
+      ctx.get(dyn + 4, dyn + 5, sizeof(long), peer);
+      if (stat != nullptr) ctx.put(stat + round, dyn + 4, sizeof(long), peer);
+      ctx.barrier(as, BarrierAlgo::kLinearToken);
+    }
+    ctx.barrier_all();
+    ctx.shfree(dyn);
+  });
+  rt.device().detach_probe(&log);
+  for (int pe = 0; pe < c.npes; ++pe) {
+    out.rings.push_back(rt.flightrec()->snapshot(pe));
+  }
+  std::ostringstream ts;
+  obs::write_timeseries_json(ts, rt.timeseries()->report());
+  out.timeseries = ts.str();
+  const obs::ProfileReport profile = rt.profiler()->report();
+  std::ostringstream prof;
+  obs::write_profile_json(prof, profile);
+  out.profile = prof.str();
+  std::ostringstream trace;
+  obs::write_chrome_trace_json(trace, {log.track(0, c.device)},
+                               obs::profile_flow_events(profile, 0));
+  out.trace = trace.str();
+  return out;
+}
+
+std::string describe(const obs::FrEvent& e) {
+  std::ostringstream os;
+  os << "vt=" << e.vt << " seq=" << e.seq << " pe=" << e.pe << " kind="
+     << tilesim::probe_kind_name(e.kind) << " site=" << e.site
+     << " peer=" << e.peer << " bytes=" << e.bytes << " errc=" << e.errc;
+  return os.str();
+}
+
+class TokenRecordsTest : public ::testing::TestWithParam<TokenCase> {};
+
+TEST_P(TokenRecordsTest, MatchTokenMessages) {
+  // The rendezvous replays each token's records in the message path's
+  // order, so every consumer keeps the same thing on either path.
+  const Observed rendezvous = run_observed_case(GetParam(), false);
+  const Observed messages = run_observed_case(GetParam(), true);
+  EXPECT_TRUE(rendezvous.rendezvous);
+  EXPECT_FALSE(messages.rendezvous);
+  ASSERT_EQ(rendezvous.rings.size(), messages.rings.size());
+  std::size_t ctrl_recvs = 0;
+  for (std::size_t pe = 0; pe < messages.rings.size(); ++pe) {
+    const auto& want = messages.rings[pe];
+    const auto& got = rendezvous.rings[pe];
+    ASSERT_LT(want.size(), kRingCapacity) << "PE " << pe << "'s ring wrapped";
+    ASSERT_EQ(got.size(), want.size()) << "PE " << pe;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(describe(got[i]), describe(want[i]))
+          << "PE " << pe << " record " << i;
+      if (want[i].kind == tilesim::ProbeKind::kCtrlRecv) ++ctrl_recvs;
+    }
+  }
+  EXPECT_GT(ctrl_recvs, 0u);
+  EXPECT_EQ(rendezvous.timeseries, messages.timeseries);
+  EXPECT_EQ(rendezvous.profile, messages.profile);
+  EXPECT_EQ(rendezvous.trace, messages.trace);
+}
+
+std::vector<TokenCase> record_cases() {
+  std::vector<TokenCase> cases;
+  const ActiveSet whole_job{0, 0, 0};
+  for (int n : {2, 3, 4, 7, 16, 36}) cases.push_back({"gx36", n, whole_job});
+  for (int n : {16, 36, 64}) cases.push_back({"pro64", n, whole_job});
+  cases.push_back({"gx36", 12, ActiveSet{1, 1, 5}});  // PEs 1, 3, 5, 7, 9
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Devices, TokenRecordsTest,
+                         ::testing::ValuesIn(record_cases()),
+                         token_case_name);
 
 // --- fence / quiet -------------------------------------------------------------
 

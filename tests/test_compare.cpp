@@ -45,24 +45,23 @@ TEST_F(MsgPassingTest, SendRecvRoundTrip) {
 }
 
 TEST_F(MsgPassingTest, RendezvousBlocksSenderUntilRecv) {
-  // The ack releasing the sender is enqueued inside recv() before recv()
-  // returns, so a flag set by the receiver *after* recv() races the
-  // sender's return. Assert the blocking property via host time instead:
-  // the receiver delays its recv by 10 ms, so a rendezvous send must not
-  // return (materially) sooner.
+  // Causal, not timed: the receiver sleeps, then raises a flag just before
+  // it calls recv(). The ack releasing the sender is enqueued inside
+  // recv(), so a rendezvous send returns only after the flag is up. A send
+  // that did not block would return during the sleep and see it down.
   MsgPassing mp(device_, cmem_, 2, 4096);
   constexpr auto kRecvDelay = std::chrono::milliseconds(10);
+  std::atomic<bool> receiving{false};
   device_.run(2, [&](Tile& tile) {
     std::vector<std::byte> buf(8);
     if (tile.id() == 0) {
-      const auto t0 = std::chrono::steady_clock::now();
       mp.send(tile, 1, 1, buf);
-      const auto blocked = std::chrono::steady_clock::now() - t0;
-      EXPECT_GE(blocked, kRecvDelay - std::chrono::milliseconds(2));
+      EXPECT_TRUE(receiving.load(std::memory_order_acquire));
     } else {
-      // Deliberate delay so the sender demonstrably blocks; not a wait
-      // loop, so the Watchdog wrapper does not apply.
+      // Deliberate delay so a send that does not block returns first; not
+      // a wait loop, so the Watchdog wrapper does not apply.
       std::this_thread::sleep_for(kRecvDelay);  // tshmem-lint: allow(R002)
+      receiving.store(true, std::memory_order_release);
       std::vector<std::byte> out(8);
       (void)mp.recv(tile, 0, 1, out);
     }

@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/flightrec.hpp"
+#include "obs/quantiles.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/device.hpp"
 #include "sim/fault.hpp"
@@ -240,6 +242,71 @@ TEST(TimeSeries, CountsProbeEventsAndFoldsEpochs) {
   ASSERT_EQ(rep.series[0].windows.size(), 2u);
   EXPECT_EQ(rep.series[0].windows[0].index, 0u);
   EXPECT_EQ(rep.series[0].windows[1].index, 3u);  // 250 + 60 = 310
+}
+
+// Batched per PE and stored compactly, the probe form reports exactly what
+// feeding each event straight through series_add/series_sample reports.
+// The PEs lag behind one another and interleave their windows, and PE 1
+// flushes a window older than the newest one stored, so cells and sample
+// buckets land mid-series and merge across PEs. Each window's quantiles
+// also equal the dense Log2Histogram's over the same samples.
+TEST(TimeSeries, BatchedEventsMatchDirectFeed) {
+  constexpr ps_t kWindow = 100;
+  TimeSeries batched(kWindow, 3);
+  TimeSeries direct(kWindow, 3);
+  std::map<std::uint64_t, obs::Log2Histogram> dense;
+  auto feed = [&](int pe, ProbeKind kind, ps_t vt, std::uint64_t bytes) {
+    batched.on_event(pe, {kind, "site", vt, -1, bytes});
+    direct.series_add(std::string("event.") + tilesim::probe_kind_name(kind),
+                      vt, 1);
+    if (kind == ProbeKind::kBarrier) {
+      direct.series_sample("shmem.barrier.ps", vt, bytes);
+      dense[static_cast<std::uint64_t>(vt / kWindow)].record(bytes);
+    }
+  };
+  // In window 0 the PE that flushes last holds neither the lowest
+  // bucket's min nor the highest bucket's max.
+  feed(0, ProbeKind::kPut, 10, 8);
+  feed(0, ProbeKind::kBarrier, 20, 301);
+  feed(0, ProbeKind::kBarrier, 30, 4);
+  feed(0, ProbeKind::kPut, 250, 8);  // PE 0 flushes window 0
+  feed(0, ProbeKind::kBarrier, 260, 70'000);
+  feed(1, ProbeKind::kBarrier, 40, 300);  // PE 1 is still in window 0
+  feed(1, ProbeKind::kBarrier, 42, 5);
+  feed(1, ProbeKind::kBarrier, 45, 9);
+  feed(2, ProbeKind::kGet, 510, 8);
+  feed(2, ProbeKind::kBarrier, 520, 1);
+  feed(1, ProbeKind::kBarrier, 150, 4);   // PE 1 flushes window 0
+  feed(2, ProbeKind::kPut, 610, 8);       // PE 2 flushes window 5
+  feed(1, ProbeKind::kBarrier, 320, 2);   // PE 1 flushes window 1, below 5
+  feed(1, ProbeKind::kBarrier, 330, 1'000'000);
+  feed(0, ProbeKind::kBarrier, 280, 64);
+  feed(2, ProbeKind::kBarrier, 190, 3);  // PE 2 flushes 6, back to window 1
+  feed(0, ProbeKind::kFence, 340, 0);    // PE 0 flushes window 2, below 6
+
+  const TimeSeriesReport got = batched.report();
+  std::ostringstream got_json;
+  std::ostringstream want_json;
+  obs::write_timeseries_json(got_json, got);
+  obs::write_timeseries_json(want_json, direct.report());
+  EXPECT_EQ(got_json.str(), want_json.str());
+
+  const obs::SeriesTimeline* barrier_ps = nullptr;
+  for (const obs::SeriesTimeline& tl : got.series) {
+    if (tl.name == "shmem.barrier.ps") barrier_ps = &tl;
+  }
+  ASSERT_NE(barrier_ps, nullptr);
+  ASSERT_EQ(barrier_ps->windows.size(), dense.size());
+  for (const obs::SeriesWindow& w : barrier_ps->windows) {
+    const obs::Log2Histogram& h = dense.at(w.index);
+    EXPECT_EQ(w.count, h.count()) << "window " << w.index;
+    EXPECT_EQ(w.sum, h.sum()) << "window " << w.index;
+    EXPECT_EQ(w.min, h.min()) << "window " << w.index;
+    EXPECT_EQ(w.max, h.max()) << "window " << w.index;
+    EXPECT_EQ((obs::LatencyQuantiles{w.p50, w.p99, w.p999}),
+              obs::latency_quantiles(h))
+        << "window " << w.index;
+  }
 }
 
 // ===========================================================================

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 CI entry point: configure, build, run the unit/integration test
-# suite, then exercise the telemetry path end to end — one bench run whose
+# suite, check that examples/quickstart's stdout is the same on three runs,
+# then exercise the telemetry path end to end — one bench run whose
 # --metrics-json output is validated for schema shape and whose
 # --trace-json timeline must agree with its --profile-json report — then a
 # telemetry identity stage (every telemetry file of fig06-fig13,
 # ext_overlap and ext_faults must stay byte-identical whichever other
-# probe consumers share the run), and finally rebuild the
+# probe consumers share the run and whichever host path the token barrier
+# takes), and finally rebuild the
 # concurrency-sensitive suites (NBI/DMA engine, tmc + tshmem barriers,
 # collectives, runtime, UDN, device runtime, the fork-join baseline and the
 # cluster, whose waits all meet in the one host rendezvous, and the probe's
@@ -53,7 +55,9 @@
 #   without libasan/libubsan).
 #   TSHMEM_CI_TIDY=0 skips clang-tidy (it is also skipped, loudly, when
 #   no clang-tidy binary is on PATH).
-#   TSHMEM_CI_RACECHECK=0 skips the tshmem-check racecheck stage.
+#   TSHMEM_CI_RACECHECK=0 skips the tshmem-check racecheck stage and the
+#   telemetry identity stage's racecheck run (under the detector, fig11
+#   alone passes 8 GB of RSS).
 #   TSHMEM_CI_PERF=0 skips the perf-trajectory stage (tools/perf_run.py:
 #   wall + virtual-time per bench, schema tshmem.bench.v1, failing on a
 #   >25% wall-clock regression against the newest committed BENCH_*.json).
@@ -73,10 +77,20 @@ cmake --build "$BUILD_DIR" -j
 echo "== ctest"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-echo "== telemetry smoke (fig08_tshmem_barrier --metrics-json/--trace-json" \
-     "/--profile-json)"
 tmp_dir="$(mktemp -d)"
 trap 'rm -rf "$tmp_dir"' EXIT
+
+echo "== quickstart determinism (three runs, byte-identical stdout)"
+# ctest runs it for its exit status; its stdout must not depend on the
+# host schedule either.
+for run in 1 2 3; do
+  "$BUILD_DIR"/examples/quickstart > "$tmp_dir/quickstart_$run.txt"
+done
+cmp "$tmp_dir/quickstart_1.txt" "$tmp_dir/quickstart_2.txt"
+cmp "$tmp_dir/quickstart_1.txt" "$tmp_dir/quickstart_3.txt"
+
+echo "== telemetry smoke (fig08_tshmem_barrier --metrics-json/--trace-json" \
+     "/--profile-json)"
 metrics_json="$tmp_dir/metrics.json"
 trace_json="$tmp_dir/trace.json"
 profile_json="$tmp_dir/profile.json"
@@ -150,11 +164,14 @@ print(f"telemetry OK: {len(m['runs'])} run(s), {len(events)} trace events, "
 EOF
 
 echo "== telemetry identity (metrics alone / + time series + blackbox /" \
-     "+ TSHMEM_PROFILE=1)"
-# Each consumer reads the one probe stream on its own: metrics alone keep
-# the token barrier's host rendezvous, the recorder and time series switch
-# the job to token messages, and the profiler joins them. None of that may
-# move a byte of any file.
+     "+ TSHMEM_PROFILE=1 / + TSHMEM_RACECHECK=fail)"
+# Each consumer reads the one probe stream on its own, and none of them
+# changes how the host runs a job: the token barrier's host rendezvous
+# reports each token's records itself. tshmem-check's vector clocks ride on
+# each token, so TSHMEM_RACECHECK=fail keeps the token messages; its time
+# series and blackbox must equal the rendezvous runs'. It is a racecheck
+# run, so TSHMEM_CI_RACECHECK=0 skips it as it skips the racecheck stage.
+# None of that may move a byte of any file.
 identity_ok=1
 for b in fig06_putget_dynamic fig07_putget_static fig08_tshmem_barrier \
          fig09_broadcast_push fig10_broadcast_pull fig11_fcollect \
@@ -166,9 +183,17 @@ for b in fig06_putget_dynamic fig07_putget_static fig08_tshmem_barrier \
     --timeseries-json "$d/t2.json" --blackbox-json "$d/b2.json" >/dev/null
   TSHMEM_PROFILE=1 "$BUILD_DIR"/bench/"$b" --metrics-json "$d/m3.json" \
     --timeseries-json "$d/t3.json" --blackbox-json "$d/b3.json" >/dev/null
-  if cmp -s "$d/m1.json" "$d/m2.json" && cmp -s "$d/m1.json" "$d/m3.json" &&
-     cmp -s "$d/t2.json" "$d/t3.json" && cmp -s "$d/b2.json" "$d/b3.json"
-  then
+  same=1
+  cmp -s "$d/m1.json" "$d/m2.json" && cmp -s "$d/m1.json" "$d/m3.json" &&
+    cmp -s "$d/t2.json" "$d/t3.json" && cmp -s "$d/b2.json" "$d/b3.json" ||
+    same=0
+  if [ "${TSHMEM_CI_RACECHECK:-1}" != "0" ]; then
+    TSHMEM_RACECHECK=fail "$BUILD_DIR"/bench/"$b" \
+      --timeseries-json "$d/t4.json" --blackbox-json "$d/b4.json" >/dev/null
+    cmp -s "$d/t2.json" "$d/t4.json" && cmp -s "$d/b2.json" "$d/b4.json" ||
+      same=0
+  fi
+  if [ "$same" = 1 ]; then
     echo "   $b: metrics, time series and blackbox byte-identical"
   else
     echo "   $b: TELEMETRY MOVED WITH THE CONSUMER SET"
@@ -212,6 +237,10 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   "$TSAN_DIR"/tests/test_udn --gtest_repeat=10
   "$TSAN_DIR"/tests/test_barrier_sync \
     --gtest_filter='Devices/TokenRendezvousTest.*' --gtest_repeat=10
+  # The rendezvous releases every PE at once into live recorder rings,
+  # time-series cells, profiler stacks and trace logs.
+  "$TSAN_DIR"/tests/test_barrier_sync \
+    --gtest_filter='Devices/TokenRecordsTest.*' --gtest_repeat=10
   # ForkJoin's fork and join and Cluster::run's start and finish gates
   # wait in the same host rendezvous as host_sync and the barriers.
   "$TSAN_DIR"/tests/test_compare
