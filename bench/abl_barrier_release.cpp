@@ -38,6 +38,8 @@ tilesim::ps_t worst_latency(tshmem::Runtime& rt, int tiles,
 
 int main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
+  const auto devices = bench::devices_from_cli(cli);
+  cli.reject_unknown();
   tshmem_util::print_banner(
       std::cout, "Ablation A",
       "Barrier release strategy: linear token vs broadcast release vs TMC spin");
@@ -47,7 +49,7 @@ int main(int argc, char** argv) {
                             "bcast/linear"});
   std::vector<bench::PaperCheck> checks;
 
-  for (const auto* cfg : bench::devices_from_cli(cli)) {
+  for (const auto* cfg : devices) {
     tshmem::Runtime rt(*cfg);
     double ratio36 = 0;
     for (int tiles = 4; tiles <= 36; tiles += 8) {

@@ -10,6 +10,8 @@
 
 int main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
+  const auto devices = bench::devices_from_cli(cli);
+  cli.reject_unknown();
   tshmem_util::print_banner(
       std::cout, "Ablation D",
       "Mechanistic cache simulator vs analytic bandwidth model");
@@ -19,7 +21,7 @@ int main(int argc, char** argv) {
                             "dram%"});
   std::vector<bench::PaperCheck> checks;
 
-  for (const auto* cfg : bench::devices_from_cli(cli)) {
+  for (const auto* cfg : devices) {
     const tilesim::MemModel model(*cfg);
     for (const std::size_t size : bench::pow2_sizes(4096, 32 << 20)) {
       tilesim::CacheSim sim(*cfg);

@@ -46,6 +46,8 @@ int main(int argc, char** argv) {
   const std::size_t bytes =
       static_cast<std::size_t>(cli.get_int("bytes", 64 << 10));
   const int tiles = static_cast<int>(cli.get_int("tiles", 32));
+  const auto devices = bench::devices_from_cli(cli);
+  cli.reject_unknown();
   tshmem_util::print_banner(
       std::cout, "Ablation B",
       "Collective algorithms (paper designs vs SIV-E extensions), " +
@@ -55,7 +57,7 @@ int main(int argc, char** argv) {
   tshmem_util::Table table({"collective", "algorithm", "device", "time (us)"});
   std::vector<bench::PaperCheck> checks;
 
-  for (const auto* cfg : bench::devices_from_cli(cli)) {
+  for (const auto* cfg : devices) {
     tshmem::RuntimeOptions opts;
     opts.heap_per_pe = (bytes * static_cast<std::size_t>(tiles) + bytes) * 2 +
                        (1 << 20);

@@ -13,6 +13,8 @@
 
 int main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
+  const auto devices = bench::devices_from_cli(cli);
+  cli.reject_unknown();
   tshmem_util::print_banner(std::cout, "Ablation C",
                             "Memory-homing strategies (SIII-A)");
 
@@ -20,7 +22,7 @@ int main(int argc, char** argv) {
                             "local (MB/s)", "remote (MB/s)"});
   std::vector<bench::PaperCheck> checks;
 
-  for (const auto* cfg : bench::devices_from_cli(cli)) {
+  for (const auto* cfg : devices) {
     const tilesim::MemModel model(*cfg);
     double local_small = 0, hash_small = 0, local_big = 0, hash_big = 0;
     for (const std::size_t size : bench::pow2_sizes(1024, 16 << 20)) {

@@ -15,6 +15,7 @@
 
 int main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
+  cli.reject_unknown();
   tshmem_util::print_banner(
       std::cout, "Extension (Table II / SII-C)",
       "MiCA offload vs software; STN vs UDN latency");

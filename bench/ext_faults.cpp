@@ -125,10 +125,11 @@ int run_hang_demo(const tshmem_util::Cli& cli, std::uint64_t seed,
                   int npes) {
   bench::Telemetry telemetry(cli);
   tshmem::RuntimeOptions opts;
+  opts.watchdog_ms = static_cast<int>(cli.get_int("watchdog-ms", 2000));
+  cli.reject_unknown();
   FaultPlan plan = FaultPlan::parse("tile_stall=0.5:200000");
   plan.seed = seed;
   opts.fault_plan = plan;
-  opts.watchdog_ms = static_cast<int>(cli.get_int("watchdog-ms", 2000));
   telemetry.configure(opts);
   std::cout << "hang demo: PE 0 waits on a flag no peer ever sets under "
                "plan " << plan.describe() << "\n";
@@ -161,6 +162,8 @@ int main(int argc, char** argv) {
   if (cli.get_flag("hang-demo")) {
     return run_hang_demo(cli, seed, npes);
   }
+  bench::Telemetry telemetry(cli);
+  cli.reject_unknown();
   tshmem_util::print_banner(
       std::cout, "Fault campaign",
       "deterministic fault injection + recovery on TILE-Gx36 (seed " +
@@ -169,7 +172,6 @@ int main(int argc, char** argv) {
   const FaultPlan plan = campaign_plan(seed);
   std::cout << "plan: " << plan.describe() << "\n\n";
 
-  bench::Telemetry telemetry(cli);
   const CampaignResult first = run_campaign(plan, npes, &telemetry);
   const CampaignResult replay = run_campaign(plan, npes, nullptr);
   const bool identical = first.events == replay.events &&

@@ -35,6 +35,8 @@ int main(int argc, char** argv) {
   const int tiles = static_cast<int>(cli.get_int("tiles", 32));
   constexpr std::size_t kP2pBytes = 256 * 1024;
   constexpr std::size_t kReduceElems = 16 * 1024;
+  const auto devices = bench::devices_from_cli(cli);
+  cli.reject_unknown();
   tshmem_util::print_banner(
       std::cout, "Extension (SVI)",
       "TSHMEM vs message passing vs fork-join, " + std::to_string(tiles) +
@@ -43,7 +45,7 @@ int main(int argc, char** argv) {
   tshmem_util::Table table({"workload", "model", "device", "time (us)"});
   std::vector<bench::PaperCheck> checks;
 
-  for (const auto* cfg : bench::devices_from_cli(cli)) {
+  for (const auto* cfg : devices) {
     // --- 1. point-to-point --------------------------------------------------
     tilesim::ps_t shmem_p2p = 0, mpi_p2p = 0;
     {

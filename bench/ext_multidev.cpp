@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto max_bytes =
       static_cast<std::size_t>(cli.get_int("max-bytes", 8 << 20));
+  cli.reject_unknown();
   tshmem_util::print_banner(
       std::cout, "Extension (SVI)",
       "Multi-device TSHMEM over mPIPE: 2x TILE-Gx8036, 10GbE link");

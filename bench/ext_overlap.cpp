@@ -68,6 +68,9 @@ int main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto max_bytes =
       static_cast<std::size_t>(cli.get_int("max-bytes", 4 << 20));
+  bench::Telemetry telemetry(cli);
+  const auto devices = bench::devices_from_cli(cli);
+  cli.reject_unknown();
   tshmem_util::print_banner(
       std::cout, "Extension — overlap",
       "comm/compute overlap: blocking put vs shmem_putmem_nbi + quiet");
@@ -75,12 +78,11 @@ int main(int argc, char** argv) {
   tshmem_util::Table table({"size", "device", "grain", "blocking (us)",
                             "nbi (us)", "speedup"});
   std::vector<bench::PaperCheck> checks;
-  bench::Telemetry telemetry(cli);
 
   // Compute grain as a fraction of the modeled transfer cost.
   const double grains[] = {0.25, 0.5, 1.0, 2.0};
 
-  for (const auto* cfg : bench::devices_from_cli(cli)) {
+  for (const auto* cfg : devices) {
     tshmem::RuntimeOptions opts;
     opts.heap_per_pe = 2 * max_bytes + (1 << 20);
     telemetry.configure(opts);

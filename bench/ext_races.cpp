@@ -152,12 +152,14 @@ int main(int argc, char** argv) {
   ::unsetenv("TSHMEM_RACECHECK");
 
   const tshmem_util::Cli cli(argc, argv, {"csv"});
+  const auto devices = bench::devices_from_cli(cli);
+  cli.reject_unknown();
   tshmem_util::print_banner(
       std::cout, "Extension — race gallery",
       "tshmem-check: racy kernels must be flagged, corrected ones clean");
 
   int failures = 0;
-  for (const auto* cfg : bench::devices_from_cli(cli)) {
+  for (const auto* cfg : devices) {
     std::cout << "\n=== device " << cfg->name << " ===\n";
     for (const auto& gc : kGallery) {
       const auto racy = run_gallery(

@@ -154,19 +154,20 @@ int main(int argc, char** argv) {
   opts.runtime.heap_per_pe = 64 << 20;
   const std::string profile_path = cli.get_string("profile-json", "");
   if (!profile_path.empty()) opts.runtime.profile = true;
+  const std::string json_path = cli.get_string("json", "");
+  const std::string metrics_path = cli.get_string("metrics-json", "");
+  cli.reject_unknown();
   tshmem::Cluster cluster(tilesim::tile_gx36(), opts, devices);
 
   svc::Service service(cluster, cfg);
   const svc::ServiceReport rep = service.run();
   svc::print_summary(std::cout, rep, cfg);
 
-  const std::string json_path = cli.get_string("json", "");
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     svc::write_report_json(out, rep, cfg);
     std::cout << "wrote " << json_path << "\n";
   }
-  const std::string metrics_path = cli.get_string("metrics-json", "");
   if (!metrics_path.empty()) {
     std::ofstream out(metrics_path);
     obs::write_metrics_json(out, service.metrics().snapshot("serve"));

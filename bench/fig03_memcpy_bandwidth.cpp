@@ -37,15 +37,17 @@ int main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto max_bytes =
       static_cast<std::size_t>(cli.get_int("max-bytes", 64 << 20));
+  bench::Telemetry telemetry(cli);
+  const auto devices = bench::devices_from_cli(cli);
+  cli.reject_unknown();
   tshmem_util::print_banner(
       std::cout, "Figure 3",
       "Effective bandwidth for shared-memory copy operations");
 
   tshmem_util::Table table({"size", "device", "pairing", "MB/s"});
   std::vector<bench::PaperCheck> checks;
-  bench::Telemetry telemetry(cli);
 
-  for (const auto* cfg : bench::devices_from_cli(cli)) {
+  for (const auto* cfg : devices) {
     tilesim::Device device(*cfg);
     telemetry.attach(device);
     tmc::CommonMemory cmem(2 * max_bytes + (1 << 20));

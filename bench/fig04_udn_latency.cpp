@@ -43,13 +43,17 @@ constexpr int kAreaWidth = 6;
 
 int main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
+  bench::Telemetry telemetry(cli);
+  // Table III sets the two devices side by side, so --device selects
+  // nothing here; it is accepted as every figure bench accepts it.
+  (void)cli.has("device");
+  cli.reject_unknown();
   tshmem_util::print_banner(std::cout, "Figure 4 / Table III",
                             "One-way latencies on UDN (6x6 test area)");
 
   tshmem_util::Table table(
       {"type", "direction", "sender", "receiver", "gx36 (ns)", "pro64 (ns)"});
   std::vector<bench::PaperCheck> checks;
-  bench::Telemetry telemetry(cli);
 
   // Measure all cases on one device; returns ns per case.
   auto measure = [&](const tilesim::DeviceConfig& cfg) {

@@ -32,15 +32,17 @@ tilesim::ps_t measured_latency(tilesim::Device& device, int tiles) {
 
 int main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
+  bench::Telemetry telemetry(cli);
+  const auto devices = bench::devices_from_cli(cli);
+  cli.reject_unknown();
   tshmem_util::print_banner(std::cout, "Figure 5",
                             "Latencies of TMC spin and sync barriers");
 
   tshmem_util::Table table(
       {"tiles", "device", "spin (us)", "sync (us)"});
   std::vector<bench::PaperCheck> checks;
-  bench::Telemetry telemetry(cli);
 
-  for (const auto* cfg : bench::devices_from_cli(cli)) {
+  for (const auto* cfg : devices) {
     tilesim::Device device(*cfg);
     telemetry.attach(device);
     for (int tiles = 2; tiles <= 36; tiles += 2) {

@@ -57,6 +57,9 @@ int main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto max_bytes =
       static_cast<std::size_t>(cli.get_int("max-bytes", 8 << 20));
+  bench::Telemetry telemetry(cli);
+  const auto devices = bench::devices_from_cli(cli);
+  cli.reject_unknown();
   tshmem_util::print_banner(
       std::cout, "Figure 6",
       "TSHMEM put/get bandwidth, dynamic-dynamic (+ static-static on Gx36)");
@@ -64,9 +67,8 @@ int main(int argc, char** argv) {
   tshmem_util::Table table(
       {"size", "device", "put dd (MB/s)", "get dd (MB/s)", "put ss (MB/s)"});
   std::vector<bench::PaperCheck> checks;
-  bench::Telemetry telemetry(cli);
 
-  for (const auto* cfg : bench::devices_from_cli(cli)) {
+  for (const auto* cfg : devices) {
     tshmem::RuntimeOptions opts;
     opts.heap_per_pe = 2 * max_bytes + (1 << 20);
     opts.private_per_pe = max_bytes + (1 << 20);

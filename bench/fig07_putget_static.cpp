@@ -39,11 +39,15 @@ int main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto max_bytes =
       static_cast<std::size_t>(cli.get_int("max-bytes", 4 << 20));
+  bench::Telemetry telemetry(cli);
+  // Fig 7 is a TILE-Gx36 measurement, so --device selects nothing here; it
+  // is accepted as every figure bench accepts it.
+  (void)cli.has("device");
+  cli.reject_unknown();
   tshmem_util::print_banner(
       std::cout, "Figure 7",
       "TSHMEM put/get bandwidth with static symmetric variables (TILE-Gx36)");
 
-  bench::Telemetry telemetry(cli);
   tshmem::RuntimeOptions opts;
   opts.heap_per_pe = 2 * max_bytes + (1 << 20);
   opts.private_per_pe = 2 * max_bytes + (1 << 20);

@@ -49,6 +49,9 @@ BarrierSample measure(tshmem::Runtime& rt, int tiles) {
 
 int main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
+  bench::Telemetry telemetry(cli);
+  const auto devices = bench::devices_from_cli(cli);
+  cli.reject_unknown();
   tshmem_util::print_banner(
       std::cout, "Figure 8",
       "Latencies of the TSHMEM barrier (best/worst case) vs TMC spin");
@@ -56,9 +59,8 @@ int main(int argc, char** argv) {
   tshmem_util::Table table({"tiles", "device", "tshmem best (us)",
                             "tshmem worst (us)", "tmc spin (us)"});
   std::vector<bench::PaperCheck> checks;
-  bench::Telemetry telemetry(cli);
 
-  for (const auto* cfg : bench::devices_from_cli(cli)) {
+  for (const auto* cfg : devices) {
     tshmem::RuntimeOptions opts;
     telemetry.configure(opts);
     tshmem::Runtime rt(*cfg, opts);

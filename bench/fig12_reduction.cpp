@@ -15,14 +15,16 @@ int main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto max_bytes =
       static_cast<std::size_t>(cli.get_int("max-bytes", 1 << 20));
+  bench::Telemetry telemetry(cli);
+  const auto devices = bench::devices_from_cli(cli);
+  cli.reject_unknown();
   tshmem_util::print_banner(std::cout, "Figure 12",
                             "Integer summation reduction aggregate bandwidth");
 
   tshmem_util::Table table({"size/tile", "tiles", "device", "agg MB/s"});
   std::vector<bench::PaperCheck> checks;
 
-  bench::Telemetry telemetry(cli);
-  for (const auto* cfg : bench::devices_from_cli(cli)) {
+  for (const auto* cfg : devices) {
     tshmem::RuntimeOptions opts;
     opts.heap_per_pe = 4 * max_bytes + (1 << 20);
     telemetry.configure(opts);

@@ -15,6 +15,9 @@
 int main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto n = static_cast<std::size_t>(cli.get_int("n", 1024));
+  bench::Telemetry telemetry(cli);
+  const auto devices = bench::devices_from_cli(cli);
+  cli.reject_unknown();
   tshmem_util::print_banner(
       std::cout, "Figure 13",
       "2D-FFT on " + std::to_string(n) + "x" + std::to_string(n) +
@@ -26,8 +29,7 @@ int main(int argc, char** argv) {
   std::vector<bench::PaperCheck> checks;
   const std::vector<int> tile_counts{1, 2, 4, 8, 16, 32};
 
-  bench::Telemetry telemetry(cli);
-  for (const auto* cfg : bench::devices_from_cli(cli)) {
+  for (const auto* cfg : devices) {
     tshmem::RuntimeOptions opts;
     opts.heap_per_pe = 2 * n * n * sizeof(apps::cfloat) + (4 << 20);
     telemetry.configure(opts);

@@ -25,6 +25,9 @@ int main(int argc, char** argv) {
                       ? 22000
                       : static_cast<int>(cli.get_int("images", 5500));
   const double scale = 22000.0 / params.images;
+  bench::Telemetry telemetry(cli);
+  const auto devices = bench::devices_from_cli(cli);
+  cli.reject_unknown();
   tshmem_util::print_banner(
       std::cout, "Figure 14",
       "CBIR on " + std::to_string(params.images) + " 8-bit images of 128x128" +
@@ -38,8 +41,7 @@ int main(int argc, char** argv) {
   std::vector<bench::PaperCheck> checks;
   const std::vector<int> tile_counts{1, 2, 4, 8, 16, 32};
 
-  bench::Telemetry telemetry(cli);
-  for (const auto* cfg : bench::devices_from_cli(cli)) {
+  for (const auto* cfg : devices) {
     tshmem::RuntimeOptions opts;
     opts.heap_per_pe =
         static_cast<std::size_t>(params.images) * 128 * 128 + (64 << 20);

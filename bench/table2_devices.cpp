@@ -6,6 +6,7 @@
 
 int main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
+  cli.reject_unknown();
   tshmem_util::print_banner(std::cout, "Table II",
                             "Arch. comparison for TILE-Gx8036 and TILEPro64");
   const auto& gx = tilesim::tile_gx36();

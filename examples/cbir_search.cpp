@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   params.images = static_cast<int>(cli.get_int("images", 1000));
   params.query_index = static_cast<int>(cli.get_int("query", 123));
   params.seed = static_cast<std::uint64_t>(cli.get_int("seed", 0x7351));
+  cli.reject_unknown();
   std::printf("CBIR over %d synthetic %dx%d images, %d PEs on %s\n",
               params.images, params.width, params.height, npes,
               device.name.c_str());

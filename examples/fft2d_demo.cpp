@@ -26,13 +26,14 @@ int main(int argc, char** argv) {
   const auto n = static_cast<std::size_t>(cli.get_int("n", 256));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
   const bool verify = !cli.get_flag("no-verify");
+  const std::string trace_path = cli.get_string("trace", "");
+  cli.reject_unknown();
   std::printf("2D-FFT %zux%zu complex floats, %d PEs on %s\n", n, n, npes,
               device.name.c_str());
 
   tshmem::RuntimeOptions opts;
   opts.heap_per_pe = 2 * n * n * sizeof(apps::cfloat) + (4 << 20);
   tshmem::Runtime rt(device, opts);
-  const std::string trace_path = cli.get_string("trace", "");
   obs::TraceLog trace(rt.device());
   if (!trace_path.empty()) rt.device().attach_probe(&trace);
   apps::Fft2dResult result;

@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
   const int npes = static_cast<int>(cli.get_int("pes", 8));
   const auto n = static_cast<std::size_t>(cli.get_int("n", 128));
   const int iters = static_cast<int>(cli.get_int("iters", 100));
+  cli.reject_unknown();
   if (n % static_cast<std::size_t>(npes) != 0) {
     std::fprintf(stderr, "n (%zu) must be divisible by pes (%d)\n", n, npes);
     return 2;

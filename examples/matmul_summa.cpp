@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   const int pr = static_cast<int>(cli.get_int("rows", 2));
   const int pc = static_cast<int>(cli.get_int("cols", 2));
   const auto n = static_cast<std::size_t>(cli.get_int("n", 128));
+  cli.reject_unknown();
   if (!is_pow2(pr) || !is_pow2(pc) || pr != pc) {
     std::fprintf(stderr, "grid must be square with power-of-two dims\n");
     return 2;

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   const std::size_t block_elems =
       static_cast<std::size_t>(cli.get_int("block-kb", 64)) * 1024 /
       sizeof(long);
+  cli.reject_unknown();
   std::printf(
       "pipeline: 2 x TILE-Gx8036 over mPIPE, %d PEs/device, %d blocks of "
       "%zu KB\n",

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   const auto& device =
       tilesim::device_by_name(cli.get_string("device", "gx36"));
   const int npes = static_cast<int>(cli.get_int("pes", 8));
+  cli.reject_unknown();
   std::printf("quickstart: %d PEs on %s\n", npes, device.name.c_str());
 
   // PE 0 gathers every result and prints it in PE order, so stdout does not

@@ -103,6 +103,7 @@ void MpipeEngine::ingress(MpipePacket pkt) {
   {
     std::scoped_lock lk(ring.mu);
     ring.packets.push_back(std::move(pkt));
+    ring.depth.store(ring.packets.size(), std::memory_order_relaxed);
   }
   ring.cv.notify_one();
   ingressed_.fetch_add(1, std::memory_order_relaxed);
@@ -116,10 +117,13 @@ MpipePacket MpipeEngine::recv(Tile& receiver, int ring_index) {
   MpipePacket pkt;
   {
     std::unique_lock lk(ring.mu);
-    tilesim::guarded_wait(*device_, lk, ring.cv, receiver.id(), "mpipe recv",
-                          [&] { return !ring.packets.empty(); });
+    tilesim::guarded_wait(
+        *device_, lk, ring.cv, receiver.id(), "mpipe recv",
+        [&] { return ring.depth.load(std::memory_order_relaxed) != 0; },
+        [&] { return !ring.packets.empty(); });
     pkt = std::move(ring.packets.front());
     ring.packets.pop_front();
+    ring.depth.store(ring.packets.size(), std::memory_order_relaxed);
   }
   receiver.clock().advance_to(pkt.arrival_ps);
   return pkt;
@@ -137,6 +141,7 @@ std::optional<MpipePacket> MpipeEngine::try_recv(Tile& receiver,
     if (ring.packets.empty()) return std::nullopt;
     pkt = std::move(ring.packets.front());
     ring.packets.pop_front();
+    ring.depth.store(ring.packets.size(), std::memory_order_relaxed);
   }
   receiver.clock().advance_to(pkt.arrival_ps);
   return pkt;

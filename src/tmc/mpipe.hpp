@@ -114,6 +114,9 @@ class MpipeEngine {
     mutable std::mutex mu;
     std::condition_variable cv;
     std::deque<MpipePacket> packets;
+    /// packets.size(), written under `mu` for receivers that spin
+    /// without it.
+    std::atomic<std::size_t> depth{0};
   };
 
   Device* device_;

@@ -108,6 +108,7 @@ void StaticNetwork::send(Tile& sender, int route,
   {
     std::scoped_lock lk(r.mu);
     r.messages.push_back(std::move(msg));
+    r.depth.store(r.messages.size(), std::memory_order_relaxed);
   }
   r.cv.notify_one();
   sender.clock().advance(static_cast<ps_t>(words.size()) *
@@ -123,10 +124,13 @@ StnMessage StaticNetwork::recv(Tile& receiver, int route) {
   StnMessage msg;
   {
     std::unique_lock lk(r.mu);
-    tilesim::guarded_wait(*device_, lk, r.cv, receiver.id(), "stn recv",
-                          [&] { return !r.messages.empty(); });
+    tilesim::guarded_wait(
+        *device_, lk, r.cv, receiver.id(), "stn recv",
+        [&] { return r.depth.load(std::memory_order_relaxed) != 0; },
+        [&] { return !r.messages.empty(); });
     msg = std::move(r.messages.front());
     r.messages.pop_front();
+    r.depth.store(r.messages.size(), std::memory_order_relaxed);
   }
   receiver.clock().advance_to(msg.arrival_ps);
   return msg;
@@ -144,6 +148,7 @@ std::optional<StnMessage> StaticNetwork::try_recv(Tile& receiver, int route) {
     if (r.messages.empty()) return std::nullopt;
     msg = std::move(r.messages.front());
     r.messages.pop_front();
+    r.depth.store(r.messages.size(), std::memory_order_relaxed);
   }
   receiver.clock().advance_to(msg.arrival_ps);
   return msg;

@@ -15,6 +15,7 @@
 // delivery through per-route queues.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -74,6 +75,9 @@ class StaticNetwork {
     mutable std::mutex mu;
     std::condition_variable cv;
     std::deque<StnMessage> messages;
+    /// messages.size(), written under `mu` for receivers that spin
+    /// without it.
+    std::atomic<std::size_t> depth{0};
   };
 
   Device* device_;

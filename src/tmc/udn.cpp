@@ -214,13 +214,15 @@ void UdnFabric::send(Tile& sender, int dst_tile, int queue,
 
   Queue& q = queue_at(dst_tile, queue);
   {
+    const auto fits = [&q, need = words.size(),
+                       cap = static_cast<std::size_t>(
+                           cfg.udn_max_payload_words)] {
+      return q.words() + need <= cap;
+    };
     std::unique_lock lk(q.mu);
-    guarded_wait(*device_, lk, q.cv_space, sender.id(), kQueueFullWait, [&] {
-      return q.buffered_words + words.size() <=
-             static_cast<std::size_t>(cfg.udn_max_payload_words);
-    });
-    q.buffered_words += words.size();
-    q.packets.push_back(std::move(pkt));
+    guarded_wait(*device_, lk, q.cv_space, sender.id(), kQueueFullWait, fits,
+                 fits);
+    q.push(std::move(pkt));
   }
   q.cv_data.notify_one();
   injected(sender, dst_tile, words.size());
@@ -254,11 +256,10 @@ UdnPacket UdnFabric::recv(Tile& receiver, int queue) {
   UdnPacket pkt;
   {
     std::unique_lock lk(q.mu);
-    guarded_wait(*device_, lk, q.cv_data, receiver.id(), "udn recv",
-                 [&] { return !q.packets.empty(); });
-    pkt = std::move(q.packets.front());
-    q.packets.pop_front();
-    q.buffered_words -= pkt.payload.size();
+    guarded_wait(
+        *device_, lk, q.cv_data, receiver.id(), "udn recv",
+        [&] { return q.words() != 0; }, [&] { return !q.packets.empty(); });
+    pkt = q.pop();
   }
   q.cv_space.notify_all();
   verify_checksum(pkt, receiver.id());
@@ -283,11 +284,10 @@ UdnPacket UdnFabric::recv_raw(Tile& receiver, int queue) {
   {
     // No wait bracket: the tag-matching caller reports one per receive.
     std::unique_lock lk(q.mu);
-    guarded_host_wait(*device_, lk, q.cv_data, receiver.id(), "udn recv",
-                      [&] { return !q.packets.empty(); });
-    pkt = std::move(q.packets.front());
-    q.packets.pop_front();
-    q.buffered_words -= pkt.payload.size();
+    guarded_host_wait(
+        *device_, lk, q.cv_data, receiver.id(), "udn recv",
+        [&] { return q.words() != 0; }, [&] { return !q.packets.empty(); });
+    pkt = q.pop();
   }
   q.cv_space.notify_all();
   verify_checksum(pkt, receiver.id());
@@ -301,9 +301,7 @@ std::optional<UdnPacket> UdnFabric::try_recv(Tile& receiver, int queue) {
   {
     std::scoped_lock lk(q.mu);
     if (q.packets.empty()) return std::nullopt;
-    pkt = std::move(q.packets.front());
-    q.packets.pop_front();
-    q.buffered_words -= pkt.payload.size();
+    pkt = q.pop();
   }
   q.cv_space.notify_all();
   verify_checksum(pkt, receiver.id());
@@ -317,9 +315,7 @@ std::optional<UdnPacket> UdnFabric::try_recv(Tile& receiver, int queue) {
 
 std::size_t UdnFabric::queued_words(int tile, int queue) const {
   check_queue_args(tile, queue);
-  Queue& q = queue_at(tile, queue);
-  std::scoped_lock lk(q.mu);
-  return q.buffered_words;
+  return queue_at(tile, queue).words();
 }
 
 }  // namespace tmc

@@ -162,7 +162,29 @@ class UdnFabric {
     std::condition_variable cv_data;   // signaled when a packet arrives
     std::condition_variable cv_space;  // signaled when space frees up
     std::deque<UdnPacket> packets;
-    std::size_t buffered_words = 0;
+    /// Payload words in `packets`, written under `mu` and read lock-free
+    /// by spinning waiters. Every packet has a word, so it is also the
+    /// data waits' readiness: non-zero exactly when a packet is queued.
+    std::atomic<std::size_t> buffered_words{0};
+
+    [[nodiscard]] std::size_t words() const noexcept {
+      return buffered_words.load(std::memory_order_relaxed);
+    }
+    /// Under `mu`. The count goes last: a spinner that sees it takes `mu`
+    /// at once, and should find it free.
+    void push(UdnPacket pkt) {
+      const std::size_t n = pkt.payload.size();
+      packets.push_back(std::move(pkt));
+      buffered_words.store(words() + n, std::memory_order_relaxed);
+    }
+    /// Under `mu`, with a packet queued.
+    UdnPacket pop() {
+      UdnPacket pkt = std::move(packets.front());
+      packets.pop_front();
+      buffered_words.store(words() - pkt.payload.size(),
+                           std::memory_order_relaxed);
+      return pkt;
+    }
   };
 
   Device* device_;

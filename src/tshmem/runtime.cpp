@@ -327,7 +327,7 @@ TokenBarrier& Runtime::token_barrier_for(const ActiveSet& as) {
   auto it = token_barriers_.find(key);
   if (it == token_barriers_.end()) {
     it = token_barriers_
-             .emplace(key, std::make_unique<TokenBarrier>(as))
+             .emplace(key, std::make_unique<TokenBarrier>(as, device_))
              .first;
   }
   return *it->second;

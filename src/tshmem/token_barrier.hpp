@@ -39,25 +39,23 @@ struct TokenTimes {
     const tilesim::DeviceConfig& cfg);
 
 /// One active set's token loop in a host rendezvous: reusable across
-/// barrier generations.
+/// barrier generations. The release evaluates the closed form into the
+/// barrier's own buffer, with each hop's latency computed at construction: it
+/// allocates nothing while the other members wait.
 class TokenBarrier {
  public:
-  explicit TokenBarrier(const ActiveSet& as)
-      : meet_(as.pe_size, "token barrier", tilesim::RendezvousReport::kSync) {}
+  TokenBarrier(const ActiveSet& as, const tilesim::Device& device);
 
   /// Deposits the caller's clock as member `index`'s arrival, blocks until
   /// every member has arrived, and returns that member's token times. The
   /// caller's clock is not touched.
-  TokenTimes wait(tilesim::Tile& self, int index) {
-    meet_.arrive(self, index, [&](std::span<const ps_t> clocks,
-                                  std::span<const int> pes) {
-      times_ = linear_token_schedule(clocks, pes, self.device().config());
-    });
-    return times_[static_cast<std::size_t>(index)];
-  }
+  TokenTimes wait(tilesim::Tile& self, int index);
 
  private:
   tilesim::Rendezvous meet_;
+  ps_t forward_;
+  ps_t inject_;
+  std::vector<ps_t> hops_;  ///< member i's token to member i+1, by index
   std::vector<TokenTimes> times_;  ///< of the last completed generation
 };
 

@@ -5,7 +5,8 @@
 
 namespace tshmem_util {
 
-Cli::Cli(int argc, char** argv, std::set<std::string> bool_flags) {
+Cli::Cli(int argc, char** argv, std::set<std::string> bool_flags)
+    : declared_(bool_flags) {
   program_ = argc > 0 ? argv[0] : "";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -28,16 +29,29 @@ Cli::Cli(int argc, char** argv, std::set<std::string> bool_flags) {
 }
 
 bool Cli::has(const std::string& name) const {
+  declared_.insert(name);
   return values_.count(name) != 0;
+}
+
+void Cli::reject_unknown() const {
+  std::string unknown;
+  for (const auto& [name, value] : values_) {
+    if (declared_.count(name) == 0) unknown += " --" + name;
+  }
+  if (!unknown.empty()) {
+    throw std::invalid_argument(program_ + ": unknown flag(s):" + unknown);
+  }
 }
 
 std::string Cli::get_string(const std::string& name,
                             const std::string& def) const {
+  declared_.insert(name);
   const auto it = values_.find(name);
   return it == values_.end() ? def : it->second;
 }
 
 long long Cli::get_int(const std::string& name, long long def) const {
+  declared_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   char* end = nullptr;
@@ -50,6 +64,7 @@ long long Cli::get_int(const std::string& name, long long def) const {
 }
 
 double Cli::get_double(const std::string& name, double def) const {
+  declared_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   char* end = nullptr;

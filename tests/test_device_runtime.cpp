@@ -4,6 +4,7 @@
 // the spin-then-park decision of blocking waits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -16,6 +17,7 @@
 #include "sim/device.hpp"
 #include "sim/guarded_wait.hpp"
 #include "sim/rendezvous.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -232,6 +234,142 @@ TEST(Rendezvous, WatchdogWithdrawsTheArrival) {
   EXPECT_EQ(meet.generations(), 0u);
   device.run(2, [&](Tile& tile) { meet.arrive(tile, tile.id()); });
   EXPECT_EQ(meet.generations(), 1u);
+}
+
+/// One seeded draw per (seed, generation, member): every thread that asks
+/// gets the same value.
+std::uint64_t draw(std::uint64_t seed, int generation, int member) {
+  return tshmem_util::SplitMix64(
+             seed ^ static_cast<std::uint64_t>(generation) << 24 ^
+             static_cast<std::uint64_t>(member) * 0x9e3779b97f4a7c15ULL)
+      .next();
+}
+
+/// A late arrival: busy host time, so no clock moves and no wait starts.
+void busy_for(std::chrono::nanoseconds ns) {
+  const auto until = std::chrono::steady_clock::now() + ns;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(Rendezvous, StressEveryMemberSeesItsGenerationsMax) {
+  // Seeded clocks and seeded host delays, one arrival in 16 past the 5 us
+  // spin budget. The last count has more members than the host has CPUs,
+  // so its waits park at once. A member that returns before its generation
+  // opens, or a release that misses an arrival, sees another max; a lost
+  // wake-up hangs the test until ctest's TIMEOUT fails it.
+  constexpr int kGenerations = 20'000;
+  const int crowd = std::min(Device::usable_cpus() + 2, 8);
+  for (const int members : {2, 3, 4, crowd}) {
+    SCOPED_TRACE(members);
+    Device device(tilesim::tile_gx36());
+    tilesim::Rendezvous meet(members, "stress",
+                             tilesim::RendezvousReport::kNone);
+    const std::uint64_t seed = 0x5eed00 + static_cast<std::uint64_t>(members);
+    tilesim::ps_t released = 0;
+    std::atomic<int> wrong{0};
+    device.run(members, [&](Tile& tile) {
+      const int me = tile.id();
+      // Every member's clock, replayed from the seed in every thread.
+      std::vector<tilesim::ps_t> clocks(static_cast<std::size_t>(members));
+      for (int g = 0; g < kGenerations; ++g) {
+        tilesim::ps_t want = 0;
+        for (int m = 0; m < members; ++m) {
+          auto& c = clocks[static_cast<std::size_t>(m)];
+          c += draw(seed, g, m) % 1'000'000;
+          want = std::max(want, c);
+        }
+        const std::uint64_t d = draw(~seed, g, me);
+        busy_for(std::chrono::nanoseconds(d % 16 == 0 ? 6'000 + d % 4'000
+                                                      : d % 1'000));
+        tile.clock().advance_to(clocks[static_cast<std::size_t>(me)]);
+        meet.arrive(tile, me,
+                    [&](std::span<const tilesim::ps_t> c,
+                        std::span<const int>) {
+                      released = *std::max_element(c.begin(), c.end());
+                    });
+        if (released != want) wrong.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_EQ(meet.generations(), static_cast<std::uint64_t>(kGenerations));
+  }
+}
+
+TEST(Rendezvous, DropRacingArrivalsCompletesTheGeneration) {
+  // Member 2 leaves at a seeded moment around the survivors' first counts.
+  // When it leaves last, its departure opens the generation; either way
+  // the survivors then meet on their own, once per round.
+  constexpr int kTrials = 500;
+  constexpr int kRounds = 3;
+  Device device(tilesim::tile_gx36());
+  for (int trial = 0; trial < kTrials; ++trial) {
+    tilesim::Rendezvous meet(3, "drop race", tilesim::RendezvousReport::kNone);
+    std::atomic<int> arriving{0};
+    device.run(3, [&](Tile& tile) {
+      if (tile.id() == 2) {
+        while (arriving.load(std::memory_order_acquire) < 2) {
+          tilesim::detail::cpu_relax();
+        }
+        busy_for(std::chrono::nanoseconds(draw(7, trial, 2) % 4'000));
+        meet.drop(2);
+        return;
+      }
+      arriving.fetch_add(1, std::memory_order_release);
+      for (int r = 0; r < kRounds; ++r) meet.arrive(tile, tile.id());
+    });
+    ASSERT_EQ(meet.generations(), static_cast<std::uint64_t>(kRounds))
+        << "trial " << trial;
+  }
+}
+
+TEST(Rendezvous, WithdrawRacingTheOpeningCountsOnce) {
+  // Member 0's 1 ms watchdog fires about when member 1's arrival completes
+  // the generation. Either the generation opened (its opener returns, and
+  // the other member may still report its timeout) or member 0 withdrew
+  // first (member 1 then waits for it and times out too). Either way the
+  // arrival counts once: the next ordinary round opens exactly one
+  // generation.
+  constexpr int kTrials = 200;
+  Device device(tilesim::tile_gx36());
+  tilesim::Watchdog wd;
+  wd.on_timeout = [](int, const char* what) {
+    throw std::runtime_error(what);
+  };
+  device.attach_watchdog(&wd);
+  tilesim::Rendezvous meet(2, "withdraw race",
+                           tilesim::RendezvousReport::kNone);
+  std::uint64_t opened = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    wd.timeout = std::chrono::milliseconds(1);
+    std::atomic<int> returned{0};
+    try {
+      device.run(2, [&](Tile& tile) {
+        if (tile.id() == 1) {
+          busy_for(std::chrono::microseconds(900 + draw(9, trial, 1) % 300));
+        }
+        meet.arrive(tile, tile.id());
+        returned.fetch_add(1, std::memory_order_relaxed);
+      });
+    } catch (const std::runtime_error&) {
+    }
+    if (returned.load() > 0) ++opened;
+    ASSERT_EQ(meet.generations(), opened) << "trial " << trial;
+    // An ordinary round; a double count would open it without a member,
+    // and that member's wait would end in the watchdog's error.
+    wd.timeout = std::chrono::seconds(10);
+    std::array<tilesim::ps_t, 2> seen{};
+    device.run(2, [&](Tile& tile) {
+      tile.clock().advance(static_cast<tilesim::ps_t>(tile.id() + 1));
+      meet.arrive(tile, tile.id(),
+                  [&](std::span<const tilesim::ps_t> c, std::span<const int>) {
+                    std::copy(c.begin(), c.end(), seen.begin());
+                  });
+    });
+    ++opened;
+    ASSERT_EQ(meet.generations(), opened) << "trial " << trial;
+    ASSERT_EQ(seen, (std::array<tilesim::ps_t, 2>{1, 2})) << "trial " << trial;
+  }
 }
 
 TEST(DeviceRuntime, RunIsNotReentrant) {

@@ -236,6 +236,28 @@ TEST(Cli, BadNumberThrows) {
   EXPECT_THROW((void)cli.get_int("pes", 1), std::invalid_argument);
 }
 
+TEST(Cli, RejectsEveryFlagNothingRead) {
+  const char* argv[] = {"prog", "--pes", "4",    "--help", "--csv",
+                        "--max-bytse", "1024", "--device", "gx36"};
+  Cli cli(9, const_cast<char**>(argv), {"csv"});
+  EXPECT_EQ(cli.get_int("pes", 1), 4);
+  EXPECT_FALSE(cli.has("quiet"));  // asked for, though absent
+  try {
+    cli.reject_unknown();
+    FAIL() << "unknown flags were accepted";
+  } catch (const std::invalid_argument& e) {
+    // Both strays are named; the declared bool flag and the reads are not.
+    EXPECT_STREQ(e.what(),
+                 "prog: unknown flag(s): --device --help --max-bytse");
+  }
+  (void)cli.get_string("device", "both");
+  (void)cli.get_int("max-bytes", 0);  // the typo stays unread
+  EXPECT_THROW(cli.reject_unknown(), std::invalid_argument);
+  (void)cli.get_flag("help");
+  (void)cli.get_int("max-bytse", 0);
+  EXPECT_NO_THROW(cli.reject_unknown());
+}
+
 // --- units -------------------------------------------------------------------
 
 TEST(Units, Conversions) {

@@ -234,6 +234,11 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   # the UDN suite and the 2-64 PE token-rendezvous cases (spin at the low
   # counts, park at the high ones).
   "$TSAN_DIR"/tests/test_device_runtime
+  # The rendezvous protocol tests: their 2-4 member runs wait on the spin
+  # path, and the run with more members than CPUs parks every waiter, so
+  # the repeats cover both paths of the state word and the parking lot.
+  "$TSAN_DIR"/tests/test_device_runtime --gtest_filter='Rendezvous.*' \
+    --gtest_repeat=20
   "$TSAN_DIR"/tests/test_udn --gtest_repeat=10
   "$TSAN_DIR"/tests/test_barrier_sync \
     --gtest_filter='Devices/TokenRendezvousTest.*' --gtest_repeat=10
