@@ -36,7 +36,7 @@ tilesim::ps_t worst_latency(tshmem::Runtime& rt, int tiles,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto devices = bench::devices_from_cli(cli);
   cli.reject_unknown();
@@ -75,4 +75,8 @@ int main(int argc, char** argv) {
   bench::emit(cli, table);
   bench::print_checks("Ablation A (SIV-C1)", checks);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

@@ -8,7 +8,7 @@
 #include "sim/cache_sim.hpp"
 #include "sim/mem_model.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto devices = bench::devices_from_cli(cli);
   cli.reject_unknown();
@@ -100,4 +100,8 @@ int main(int argc, char** argv) {
   bench::emit(cli, table);
   bench::print_checks("Ablation D (cache sim)", checks);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

@@ -41,7 +41,7 @@ tilesim::ps_t worst_elapsed(tshmem::Runtime& rt, int tiles, std::size_t bytes,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const std::size_t bytes =
       static_cast<std::size_t>(cli.get_int("bytes", 64 << 10));
@@ -121,4 +121,8 @@ int main(int argc, char** argv) {
   bench::emit(cli, table);
   bench::print_checks("Ablation B (SIV-E)", checks);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

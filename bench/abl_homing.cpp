@@ -11,7 +11,7 @@
 #include "bench_common.hpp"
 #include "sim/mem_model.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto devices = bench::devices_from_cli(cli);
   cli.reject_unknown();
@@ -63,4 +63,8 @@ int main(int argc, char** argv) {
   bench::emit(cli, table);
   bench::print_checks("Ablation C (homing)", checks);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

@@ -8,9 +8,10 @@
 namespace bench {
 
 std::vector<const DeviceConfig*> devices_from_cli(const Cli& cli) {
-  const std::string which = cli.get_string("device", "both");
-  if (which == "both" || which == "all") return tilesim::all_devices();
-  return {&tilesim::device_by_name(which)};
+  return cli.get_as("device", "both", [](const std::string& which) {
+    if (which == "both" || which == "all") return tilesim::all_devices();
+    return std::vector<const DeviceConfig*>{&tilesim::device_by_name(which)};
+  });
 }
 
 std::vector<std::size_t> pow2_sizes(std::size_t lo, std::size_t hi) {

@@ -13,7 +13,7 @@
 #include "tmc/udn.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   cli.reject_unknown();
   tshmem_util::print_banner(
@@ -94,4 +94,8 @@ int main(int argc, char** argv) {
 
   bench::print_checks("Extension: accelerators & STN", checks);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

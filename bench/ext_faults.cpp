@@ -155,7 +155,7 @@ int run_hang_demo(const tshmem_util::Cli& cli, std::uint64_t seed,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv", "hang-demo"});
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const int npes = static_cast<int>(cli.get_int("pes", 4));
@@ -226,4 +226,8 @@ int main(int argc, char** argv) {
   bench::print_checks("Fault campaign", checks);
   telemetry.write();
   return identical ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

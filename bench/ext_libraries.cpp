@@ -30,7 +30,7 @@ using tshmem::Context;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const int tiles = static_cast<int>(cli.get_int("tiles", 32));
   constexpr std::size_t kP2pBytes = 256 * 1024;
@@ -248,4 +248,8 @@ int main(int argc, char** argv) {
   bench::emit(cli, table);
   bench::print_checks("Extension: library comparison (SVI)", checks);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

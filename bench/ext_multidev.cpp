@@ -37,7 +37,7 @@ double put_mbps(Cluster& cluster, std::size_t bytes, bool cross_device) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto max_bytes =
       static_cast<std::size_t>(cli.get_int("max-bytes", 8 << 20));
@@ -119,4 +119,8 @@ int main(int argc, char** argv) {
 
   bench::print_checks("Extension: multi-device TSHMEM (SVI)", checks);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

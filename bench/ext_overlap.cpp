@@ -64,7 +64,7 @@ Cell measure(tshmem::Runtime& rt, std::size_t bytes, std::uint64_t int_ops) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto max_bytes =
       static_cast<std::size_t>(cli.get_int("max-bytes", 4 << 20));
@@ -127,4 +127,8 @@ int main(int argc, char** argv) {
   bench::print_checks("Extension overlap", checks);
   telemetry.write();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

@@ -146,7 +146,7 @@ constexpr GalleryCase kGallery[] = {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   // The gallery sets its own mode per runtime; the CI racecheck stage runs
   // everything else with TSHMEM_RACECHECK=fail, which must not leak in here.
   ::unsetenv("TSHMEM_RACECHECK");
@@ -188,4 +188,8 @@ int main(int argc, char** argv) {
 
   std::cout << "\next_races: " << (failures == 0 ? "PASS" : "FAIL") << "\n";
   return failures == 0 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

@@ -78,7 +78,7 @@
 #include "svc/service.hpp"
 #include "tshmem/cluster.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv", "closed"});
   tshmem_util::print_banner(
       std::cout, "Extension (serving)",
@@ -141,12 +141,11 @@ int main(int argc, char** argv) {
         cli.get_int("timeseries-window-ps", 1'000'000'000));
   }
   cfg.blackbox_path = bb_path;
-  std::string plan_spec = cli.get_string("fault-plan", "");
-  if (plan_spec.empty()) {
-    if (const char* env = std::getenv("TSHMEM_FAULT_PLAN")) plan_spec = env;
-  }
-  if (!plan_spec.empty()) {
-    cfg.fault_plan = tilesim::FaultPlan::parse(plan_spec);
+  if (!cli.get_string("fault-plan", "").empty()) {
+    cfg.fault_plan = cli.get_as("fault-plan", "", tilesim::FaultPlan::parse);
+  } else if (const char* env = std::getenv("TSHMEM_FAULT_PLAN");
+             env != nullptr && *env != '\0') {
+    cfg.fault_plan = tilesim::FaultPlan::parse(env);
   }
 
   // The cluster expansion is TILE-Gx only (mPIPE), as in ext_multidev.
@@ -240,4 +239,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

@@ -33,7 +33,7 @@ constexpr Pairing kPairings[] = {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto max_bytes =
       static_cast<std::size_t>(cli.get_int("max-bytes", 64 << 20));
@@ -108,4 +108,8 @@ int main(int argc, char** argv) {
   bench::print_checks("Figure 3", checks);
   telemetry.write();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

@@ -41,7 +41,7 @@ constexpr int kAreaWidth = 6;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   bench::Telemetry telemetry(cli);
   // Table III sets the two devices side by side, so --device selects
@@ -141,4 +141,8 @@ int main(int argc, char** argv) {
   bench::print_checks("Figure 4 / Table III", checks);
   telemetry.write();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

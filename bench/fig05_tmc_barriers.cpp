@@ -30,7 +30,7 @@ tilesim::ps_t measured_latency(tilesim::Device& device, int tiles) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   bench::Telemetry telemetry(cli);
   const auto devices = bench::devices_from_cli(cli);
@@ -67,4 +67,8 @@ int main(int argc, char** argv) {
   bench::print_checks("Figure 5", checks);
   telemetry.write();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

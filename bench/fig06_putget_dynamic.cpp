@@ -53,7 +53,7 @@ double putget_mbps(tshmem::Runtime& rt, std::size_t bytes, bool is_put,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto max_bytes =
       static_cast<std::size_t>(cli.get_int("max-bytes", 8 << 20));
@@ -102,4 +102,8 @@ int main(int argc, char** argv) {
   bench::print_checks("Figure 6", checks);
   telemetry.write();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

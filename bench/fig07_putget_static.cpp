@@ -35,7 +35,7 @@ constexpr Combo kCombos[] = {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto max_bytes =
       static_cast<std::size_t>(cli.get_int("max-bytes", 4 << 20));
@@ -121,4 +121,8 @@ int main(int argc, char** argv) {
   telemetry.collect(rt);
   telemetry.write();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

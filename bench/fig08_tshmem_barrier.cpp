@@ -47,7 +47,7 @@ BarrierSample measure(tshmem::Runtime& rt, int tiles) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   bench::Telemetry telemetry(cli);
   const auto devices = bench::devices_from_cli(cli);
@@ -96,4 +96,8 @@ int main(int argc, char** argv) {
   bench::print_checks("Figure 8", checks);
   telemetry.write();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

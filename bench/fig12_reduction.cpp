@@ -11,7 +11,7 @@
 #include "bench_common.hpp"
 #include "collective_bench.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto max_bytes =
       static_cast<std::size_t>(cli.get_int("max-bytes", 1 << 20));
@@ -56,4 +56,8 @@ int main(int argc, char** argv) {
   bench::print_checks("Figure 12", checks);
   telemetry.write();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

@@ -12,7 +12,7 @@
 #include "bench_common.hpp"
 #include "tshmem/runtime.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   const auto n = static_cast<std::size_t>(cli.get_int("n", 1024));
   bench::Telemetry telemetry(cli);
@@ -70,4 +70,8 @@ int main(int argc, char** argv) {
   bench::print_checks("Figure 13", checks);
   telemetry.write();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

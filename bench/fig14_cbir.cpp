@@ -18,7 +18,7 @@
 #include "bench_common.hpp"
 #include "tshmem/runtime.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv", "full"});
   apps::cbir::Params params;
   params.images = cli.get_flag("full")
@@ -80,4 +80,8 @@ int main(int argc, char** argv) {
   bench::print_checks("Figure 14", checks);
   telemetry.write();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

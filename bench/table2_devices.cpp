@@ -4,7 +4,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"csv"});
   cli.reject_unknown();
   tshmem_util::print_banner(std::cout, "Table II",
@@ -41,4 +41,8 @@ int main(int argc, char** argv) {
              yes_no(pro.supports_udn_interrupts)});
   bench::emit(cli, t);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

@@ -10,10 +10,10 @@
 #include "tshmem/runtime.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv);
   const auto& device =
-      tilesim::device_by_name(cli.get_string("device", "gx36"));
+      cli.get_as("device", "gx36", tilesim::device_by_name);
   const int npes = static_cast<int>(cli.get_int("pes", 8));
   apps::cbir::Params params;
   params.images = static_cast<int>(cli.get_int("images", 1000));
@@ -49,4 +49,8 @@ int main(int argc, char** argv) {
               tshmem_util::ps_to_ms(result.extract_ps),
               tshmem_util::ps_to_ms(result.rank_ps));
   return result.best_image == params.query_index % params.images ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

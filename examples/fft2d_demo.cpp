@@ -18,10 +18,10 @@
 #include "tshmem/runtime.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv, {"no-verify"});
   const auto& device =
-      tilesim::device_by_name(cli.get_string("device", "gx36"));
+      cli.get_as("device", "gx36", tilesim::device_by_name);
   const int npes = static_cast<int>(cli.get_int("pes", 8));
   const auto n = static_cast<std::size_t>(cli.get_int("n", 256));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
@@ -78,4 +78,8 @@ int main(int argc, char** argv) {
     return max_err < 1e-2 ? 0 : 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

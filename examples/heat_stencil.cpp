@@ -34,10 +34,10 @@ std::vector<double> serial_heat(std::size_t n, int iters) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv);
   const auto& device =
-      tilesim::device_by_name(cli.get_string("device", "gx36"));
+      cli.get_as("device", "gx36", tilesim::device_by_name);
   const int npes = static_cast<int>(cli.get_int("pes", 8));
   const auto n = static_cast<std::size_t>(cli.get_int("n", 128));
   const int iters = static_cast<int>(cli.get_int("iters", 100));
@@ -132,4 +132,8 @@ int main(int argc, char** argv) {
               tshmem_util::ps_to_ms(elapsed), max_err,
               max_err < 1e-9 ? "(OK)" : "(FAILED)");
   return max_err < 1e-9 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

@@ -35,10 +35,10 @@ double elem(std::size_t r, std::size_t c, std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv);
   const auto& device =
-      tilesim::device_by_name(cli.get_string("device", "gx36"));
+      cli.get_as("device", "gx36", tilesim::device_by_name);
   const int pr = static_cast<int>(cli.get_int("rows", 2));
   const int pc = static_cast<int>(cli.get_int("cols", 2));
   const auto n = static_cast<std::size_t>(cli.get_int("n", 128));
@@ -161,4 +161,8 @@ int main(int argc, char** argv) {
               tshmem_util::ps_to_ms(elapsed), max_err,
               max_err < 1e-9 ? "(OK)" : "(FAILED)");
   return max_err < 1e-9 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

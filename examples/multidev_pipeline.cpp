@@ -13,7 +13,7 @@
 #include "tshmem/cluster.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv);
   const int pes = static_cast<int>(cli.get_int("pes", 8));
   const int blocks = static_cast<int>(cli.get_int("blocks", 16));
@@ -124,4 +124,8 @@ int main(int argc, char** argv) {
               "block transfers over the 10G link)\n",
               tshmem_util::ps_to_ms(elapsed), pes, blocks);
   return actual == expected ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

@@ -17,10 +17,10 @@
 #include "tshmem/runtime.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const tshmem_util::Cli cli(argc, argv);
   const auto& device =
-      tilesim::device_by_name(cli.get_string("device", "gx36"));
+      cli.get_as("device", "gx36", tilesim::device_by_name);
   const int npes = static_cast<int>(cli.get_int("pes", 8));
   cli.reject_unknown();
   std::printf("quickstart: %d PEs on %s\n", npes, device.name.c_str());
@@ -111,4 +111,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tshmem_util::cli_main(argc, argv, run_main);
 }

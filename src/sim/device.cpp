@@ -1,6 +1,7 @@
 #include "sim/device.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -10,6 +11,7 @@
 #include <sched.h>
 #endif
 
+#include "sim/guarded_wait.hpp"
 #include "sim/probe.hpp"
 #include "sim/rendezvous.hpp"
 
@@ -19,6 +21,118 @@ namespace {
 thread_local Tile* g_current_tile = nullptr;
 std::atomic<int> g_running_tile_threads{0};
 }  // namespace
+
+struct Device::Job {
+  const std::function<void(Tile&)>* fn;
+  std::mutex error_mu;
+  std::exception_ptr first_error;
+};
+
+/// The host threads that run tiles 1..n-1 of every run(): worker w runs
+/// tile w + 1. They start on demand, live as long as the Device, and wait
+/// between jobs in a slot of their own, a cache line holding `go`, the
+/// number of the last job handed to the worker, and the lot it parks in.
+/// The caller publishes a job, stores each active worker's `go` and wakes
+/// its lot; the worker that finishes last wakes the caller. No hand-off
+/// locks anything unless someone parked (ParkingLot).
+class Device::Crew {
+ public:
+  explicit Crew(Device& device) : device_(&device) {}
+
+  Crew(const Crew&) = delete;
+  Crew& operator=(const Crew&) = delete;
+
+  ~Crew() {
+    for (auto& slot : slots_) {
+      slot->go.store(kStop, std::memory_order_seq_cst);
+      slot->lot.wake_all();
+    }
+    for (auto& t : threads_) t.join();
+  }
+
+  /// Starts workers until there are `workers`. Throws std::system_error
+  /// when a thread cannot start, keeping the workers started so far.
+  void grow(int workers) {
+    const auto want = static_cast<std::size_t>(workers);
+    if (threads_.size() >= want) return;
+    slots_.reserve(want);
+    threads_.reserve(want);
+    while (threads_.size() < want) {
+      // Each worker keeps a reference to its own slot, never an index
+      // into slots_: the vector reallocates here while older workers spin.
+      slots_.push_back(std::make_unique<Slot>());
+      Slot& slot = *slots_.back();
+      const int tile = static_cast<int>(threads_.size()) + 1;
+      try {
+        threads_.emplace_back([this, &slot, tile] { work(slot, tile); });
+      } catch (...) {
+        slots_.pop_back();
+        throw;
+      }
+      size_.store(static_cast<int>(threads_.size()),
+                  std::memory_order_relaxed);
+    }
+  }
+
+  /// Hands `job` to workers 0..workers-1, which grow() has started.
+  void start(int workers, Job& job) {
+    if (workers == 0) return;
+    job_ = &job;
+    busy_.store(workers, std::memory_order_relaxed);
+    const std::uint64_t number = ++jobs_;
+    for (int w = 0; w < workers; ++w) {
+      Slot& slot = *slots_[static_cast<std::size_t>(w)];
+      slot.go.store(number, std::memory_order_seq_cst);
+      slot.lot.wake_all();
+    }
+  }
+
+  /// Blocks until every worker start() handed the job to has finished it.
+  void wait() {
+    done_.wait_idle(idle_threads(), [this] {
+      return busy_.load(std::memory_order_seq_cst) == 0;
+    });
+  }
+
+ private:
+  static constexpr std::uint64_t kStop = ~std::uint64_t{0};
+
+  struct alignas(64) Slot {
+    std::atomic<std::uint64_t> go{0};
+    ParkingLot lot;
+  };
+
+  /// The crew and the caller: the threads that wait idle between jobs.
+  int idle_threads() const noexcept {
+    return size_.load(std::memory_order_relaxed) + 1;
+  }
+
+  void work(Slot& slot, int tile) {
+    std::uint64_t served = 0;
+    for (;;) {
+      slot.lot.wait_idle(idle_threads(), [&] {
+        return slot.go.load(std::memory_order_seq_cst) != served;
+      });
+      // `go` moves again only after this worker has finished the job.
+      served = slot.go.load(std::memory_order_acquire);
+      if (served == kStop) return;
+      device_->run_tile(tile, *job_);
+      if (busy_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+        done_.wake_all();
+      }
+    }
+  }
+
+  Device* device_;
+  std::vector<std::unique_ptr<Slot>> slots_;
+  std::atomic<int> size_{0};  ///< threads_.size(), for the workers
+  Job* job_ = nullptr;        ///< published by each `go` store
+  std::uint64_t jobs_ = 0;    ///< jobs handed out so far
+  // Every worker writes it at the end of a job while the caller polls it.
+  alignas(64) std::atomic<int> busy_{0};
+  ParkingLot done_;  ///< where the caller parks
+  std::vector<std::thread> threads_;  ///< last: they use the rest
+};
 
 Tile::Tile(Device& device, int id)
     : device_(&device),
@@ -46,7 +160,10 @@ void Tile::charge_copy(const CopyRequest& req) {
 }
 
 Device::Device(const DeviceConfig& cfg)
-    : cfg_(&cfg), topo_(cfg), mem_(cfg) {
+    : cfg_(&cfg),
+      topo_(cfg),
+      mem_(cfg),
+      crew_(std::make_unique<Crew>(*this)) {
   tiles_.reserve(static_cast<std::size_t>(cfg.tile_count()));
   for (int i = 0; i < cfg.tile_count(); ++i) {
     tiles_.push_back(std::make_unique<Tile>(*this, i));
@@ -144,6 +261,9 @@ void Device::run(int active_tiles, const std::function<void(Tile&)>& fn) {
   if (host_sync_) {
     throw std::logic_error("Device::run is not reentrant");
   }
+  // Before anything else: a thread that fails to start leaves the Device
+  // as it was, ready for another run.
+  crew_->grow(active_tiles - 1);
   // A host rendezvous is a real synchronization of every active tile (it
   // is how benchmarks separate measurement phases), so tshmem-check sees
   // it as one.
@@ -154,35 +274,34 @@ void Device::run(int active_tiles, const std::function<void(Tile&)>& fn) {
   for (auto& t : tiles_) t->dma().clear();
   reset_clocks();
 
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(active_tiles));
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-
-  // Counted before any thread starts, so the first tiles to wait already
+  Job job{&fn, {}, nullptr};
+  // Counted before any tile starts, so the first tiles to wait already
   // see the whole run.
   g_running_tile_threads.fetch_add(active_tiles, std::memory_order_relaxed);
-  for (int i = 0; i < active_tiles; ++i) {
-    threads.emplace_back([this, i, &fn, &first_error, &error_mu] {
-      Tile& self = *tiles_[static_cast<std::size_t>(i)];
-      g_current_tile = &self;
-      try {
-        fn(self);
-      } catch (...) {
-        std::scoped_lock lk(error_mu);
-        if (!first_error) first_error = std::current_exception();
-        // A dead tile must not deadlock the others on the host barrier, so
-        // a throwing tile drops its participation. Benchmarks/tests treat
-        // any exception as fatal and the rethrow below surfaces it.
-        host_sync_->drop(i);
-      }
-      g_running_tile_threads.fetch_sub(1, std::memory_order_relaxed);
-      g_current_tile = nullptr;
-    });
-  }
-  for (auto& t : threads) t.join();
+  crew_->start(active_tiles - 1, job);
+  run_tile(0, job);
+  crew_->wait();
   host_sync_.reset();
-  if (first_error) std::rethrow_exception(first_error);
+  if (job.first_error) std::rethrow_exception(job.first_error);
+}
+
+void Device::run_tile(int id, Job& job) {
+  Tile& self = *tiles_[static_cast<std::size_t>(id)];
+  // The caller may itself be a tile of another Device's run.
+  Tile* const outer = g_current_tile;
+  g_current_tile = &self;
+  try {
+    (*job.fn)(self);
+  } catch (...) {
+    std::scoped_lock lk(job.error_mu);
+    if (!job.first_error) job.first_error = std::current_exception();
+    // A dead tile must not deadlock the others on the host barrier, so a
+    // throwing tile drops its participation. Benchmarks/tests treat any
+    // exception as fatal and run() rethrows it.
+    host_sync_->drop(id);
+  }
+  g_running_tile_threads.fetch_sub(1, std::memory_order_relaxed);
+  g_current_tile = outer;
 }
 
 }  // namespace tilesim

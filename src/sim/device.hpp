@@ -1,6 +1,6 @@
 // Simulated device runtime: a mesh of tiles, each driven by one host
-// thread. Real data lives in ordinary process memory; the Tile's SimClock
-// carries the modeled device time.
+// thread during a run. Real data lives in ordinary process memory; the
+// Tile's SimClock carries the modeled device time.
 #pragma once
 
 #include <atomic>
@@ -23,7 +23,8 @@ class Probe;       // sim/probe.hpp
 class Rendezvous;  // sim/rendezvous.hpp
 
 /// One tile of the mesh. Owned by Device; bound 1:1 to a host thread for
-/// the duration of a Device::run() call.
+/// the duration of a Device::run() call (tile 0 to the caller, the others
+/// to the Device's crew).
 class Tile {
  public:
   Tile(Device& device, int id);
@@ -78,8 +79,11 @@ class Device {
   [[nodiscard]] const Tile& tile(int id) const;
 
   /// Runs `fn(tile)` on `active_tiles` host threads, one per tile (tiles
-  /// 0..active_tiles-1 in *virtual* CPU numbering). Joins all threads and
-  /// rethrows the first exception any tile raised. Clocks reset at entry.
+  /// 0..active_tiles-1 in *virtual* CPU numbering): tile 0 on the calling
+  /// thread, tiles 1.. on the Device's crew, host threads it starts on
+  /// demand and keeps until it is destroyed. Returns once every tile has,
+  /// rethrowing the first exception any tile raised. Clocks reset at
+  /// entry.
   void run(int active_tiles, const std::function<void(Tile&)>& fn);
 
   /// Harness-level (zero virtual cost) rendezvous of all active tiles.
@@ -91,9 +95,9 @@ class Device {
   /// Tile bound to the calling thread, or nullptr outside run().
   [[nodiscard]] static Tile* current() noexcept;
 
-  /// Tile threads inside run() across every Device of the process: the
-  /// count tilesim::spin_before_park (sim/guarded_wait.hpp) compares to
-  /// usable_cpus().
+  /// Tiles inside run() across every Device of the process: the count
+  /// tilesim::spin_before_park (sim/guarded_wait.hpp) compares to
+  /// usable_cpus(). Idle crew threads are not counted.
   [[nodiscard]] static int running_tile_threads() noexcept;
 
   /// CPUs this process may run on (its sched_getaffinity set; read once).
@@ -141,6 +145,12 @@ class Device {
   }
 
  private:
+  class Crew;  // device.cpp
+  struct Job;  // device.cpp: one run()'s function and first error
+
+  /// Runs tile `id` of `job` on the calling thread.
+  void run_tile(int id, Job& job);
+
   const DeviceConfig* cfg_;
   Topology topo_;
   MemModel mem_;
@@ -150,6 +160,7 @@ class Device {
   FaultEngine* fault_ = nullptr;
   const Watchdog* watchdog_ = nullptr;
   std::atomic<std::uint64_t> clock_generation_{0};
+  std::unique_ptr<Crew> crew_;  ///< last member: its threads use the rest
 };
 
 }  // namespace tilesim

@@ -47,6 +47,13 @@
 // attached it wakes every `timeout` and hands control to on_timeout, which
 // is expected to throw a diagnostic tshmem::Error instead of letting the
 // tile hang.
+//
+// One wait is not a tile's: a thread of a Device's crew waiting between
+// jobs for its next tile, and Device::run's caller waiting for the crew to
+// finish a job (ParkingLot::wait_idle). No tile is blocked there, so no
+// watchdog bounds it. It spins longer than a tile wait, across the host
+// work between two short jobs, and only while the crew and the caller fit
+// on the usable CPUs.
 #pragma once
 
 #include <atomic>
@@ -76,6 +83,12 @@ namespace detail {
 /// round trip takes ~15 µs on a 4-vCPU x86 KVM guest): a longer budget
 /// burns CPU on waits that end up parking anyway.
 inline constexpr std::chrono::microseconds kSpinBudget{5};
+
+/// How long an idle crew thread or run()'s caller spins (wait_idle). It
+/// covers the host work between two short jobs (a tshmem job's set-up and
+/// teardown): with kSpinBudget, idle threads often parked between jobs,
+/// and every job paid their wake-up.
+inline constexpr std::chrono::microseconds kIdleSpinBudget{50};
 
 inline void cpu_relax() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -180,13 +193,25 @@ class ParkingLot {
         deadline && detail::spin_until(ready, *deadline)) {
       return;
     }
-    std::unique_lock lk(mu_);
-    parked_.fetch_add(1, std::memory_order_seq_cst);
-    struct Leave {
-      std::atomic<int>& parked;
-      ~Leave() { parked.fetch_sub(1, std::memory_order_seq_cst); }
-    } leave{parked_};
-    detail::park(device, lk, cv_, tile, what, ready);
+    park([&](std::unique_lock<std::mutex>& lk) {
+      detail::park(device, lk, cv_, tile, what, ready);
+    });
+  }
+
+  /// Blocks until ready() holds, for a thread that waits between tiles
+  /// rather than in one (Device's crew and run()'s caller): spins for up
+  /// to kIdleSpinBudget while `threads` fit on the usable CPUs
+  /// (spin_before_park), then parks with no watchdog. ready() must read
+  /// the waker's state with seq_cst loads.
+  template <typename Ready>
+  void wait_idle(int threads, Ready ready) {
+    if (ready()) return;
+    if (spin_before_park(threads, Device::usable_cpus()) &&
+        detail::spin_until(ready, std::chrono::steady_clock::now() +
+                                      detail::kIdleSpinBudget)) {
+      return;
+    }
+    park([&](std::unique_lock<std::mutex>& lk) { cv_.wait(lk, ready); });
   }
 
   /// Wakes every parked waiter. Call after the seq_cst store that makes
@@ -200,6 +225,19 @@ class ParkingLot {
   }
 
  private:
+  /// The waiter's half of the Dekker pair: counts itself in parked_ under
+  /// the lot's mutex, then sleep(lk) re-checks ready() and sleeps on cv_.
+  template <typename Sleep>
+  void park(Sleep sleep) {
+    std::unique_lock lk(mu_);
+    parked_.fetch_add(1, std::memory_order_seq_cst);
+    struct Leave {
+      std::atomic<int>& parked;
+      ~Leave() { parked.fetch_sub(1, std::memory_order_seq_cst); }
+    } leave{parked_};
+    sleep(lk);
+  }
+
   std::atomic<int> parked_{0};
   std::mutex mu_;
   std::condition_variable cv_;

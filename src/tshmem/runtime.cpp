@@ -491,14 +491,16 @@ void Runtime::run(int npes, const std::function<void(Context&)>& fn) {
   try {
     device_.run(npes, [this, &fn](Tile& tile) {
       Context& ctx = *contexts_[static_cast<std::size_t>(tile.id())];
+      // PE 0 runs on the caller, which may be a PE of another runtime.
+      Context* const outer = g_current_context;
       g_current_context = &ctx;
       try {
         fn(ctx);
       } catch (...) {
-        g_current_context = nullptr;
+        g_current_context = outer;
         throw;
       }
-      g_current_context = nullptr;
+      g_current_context = outer;
     });
   } catch (const Error& e) {
     // Post-mortem before teardown: the diagnostic board and per-PE rings

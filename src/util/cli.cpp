@@ -1,7 +1,7 @@
 #include "util/cli.hpp"
 
 #include <cstdlib>
-#include <stdexcept>
+#include <iostream>
 
 namespace tshmem_util {
 
@@ -39,8 +39,12 @@ void Cli::reject_unknown() const {
     if (declared_.count(name) == 0) unknown += " --" + name;
   }
   if (!unknown.empty()) {
-    throw std::invalid_argument(program_ + ": unknown flag(s):" + unknown);
+    throw CliError(program_ + ": unknown flag(s):" + unknown);
   }
+}
+
+void Cli::reject(const std::string& name, const std::string& why) const {
+  throw CliError(program_ + ": flag --" + name + ": " + why);
 }
 
 std::string Cli::get_string(const std::string& name,
@@ -57,8 +61,7 @@ long long Cli::get_int(const std::string& name, long long def) const {
   char* end = nullptr;
   const long long v = std::strtoll(it->second.c_str(), &end, 0);
   if (end == it->second.c_str() || *end != '\0') {
-    throw std::invalid_argument("flag --" + name + " expects an integer, got '" +
-                                it->second + "'");
+    reject(name, "expects an integer, got '" + it->second + "'");
   }
   return v;
 }
@@ -70,12 +73,21 @@ double Cli::get_double(const std::string& name, double def) const {
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
   if (end == it->second.c_str() || *end != '\0') {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                it->second + "'");
+    reject(name, "expects a number, got '" + it->second + "'");
   }
   return v;
 }
 
 bool Cli::get_flag(const std::string& name) const { return has(name); }
+
+int cli_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const CliError& e) {
+    std::cout.flush();  // what the program printed first stays ahead of it
+    std::cerr << e.what() << '\n';
+    return 2;
+  }
+}
 
 }  // namespace tshmem_util

@@ -1,15 +1,19 @@
 // Tests for the Device/Tile runtime itself: thread binding, clock
 // lifecycle, host synchronization primitives (host_sync and the
-// Rendezvous every host-side meeting is built on), reentrancy guards, and
-// the spin-then-park decision of blocking waits.
+// Rendezvous every host-side meeting is built on), reentrancy guards, the
+// spin-then-park decision of blocking waits, and the crew of host threads
+// each Device keeps from run to run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +21,8 @@
 #include "sim/device.hpp"
 #include "sim/guarded_wait.hpp"
 #include "sim/rendezvous.hpp"
+#include "tshmem/context.hpp"
+#include "tshmem/runtime.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -377,6 +383,147 @@ TEST(DeviceRuntime, RunIsNotReentrant) {
   device.run(1, [&](Tile&) {
     EXPECT_THROW(device.run(1, [](Tile&) {}), std::logic_error);
   });
+}
+
+TEST(DeviceCrew, SameWorkersServeConsecutiveRuns) {
+  // Tile 0 runs on the caller; tiles 1.. keep their crew thread from run
+  // to run, whatever the run's size.
+  Device device(tilesim::tile_gx36());
+  using Ids = std::array<std::thread::id, 4>;
+  auto record = [&](int tiles) {
+    Ids ids{};
+    device.run(tiles, [&](Tile& tile) {
+      ids[static_cast<std::size_t>(tile.id())] = std::this_thread::get_id();
+    });
+    return ids;
+  };
+  const Ids first = record(4);
+  EXPECT_EQ(first[0], std::this_thread::get_id());
+  EXPECT_EQ(std::set<std::thread::id>(first.begin(), first.end()).size(), 4u);
+  for (int run = 0; run < 5; ++run) {
+    EXPECT_EQ(record(4), first) << "run " << run;
+    const Ids two = record(2);
+    EXPECT_EQ(two[0], first[0]);
+    EXPECT_EQ(two[1], first[1]);
+  }
+}
+
+TEST(DeviceCrew, GrowsAndShrinksRunningEveryTileOnce) {
+  // The crew grows while its older workers wait for their next job, which
+  // is the moment a worker that indexed the crew's slot vector would race
+  // the vector's reallocation. Three Devices give the race three chances.
+  for (int round = 0; round < 3; ++round) {
+    Device device(tilesim::tile_gx36());
+    for (const int tiles : {2, 6, 36, 2}) {
+      SCOPED_TRACE(tiles);
+      std::array<std::atomic<int>, 36> ran{};
+      device.run(tiles, [&](Tile& tile) {
+        ran[static_cast<std::size_t>(tile.id())].fetch_add(1);
+      });
+      for (int t = 0; t < 36; ++t) {
+        EXPECT_EQ(ran[static_cast<std::size_t>(t)].load(), t < tiles ? 1 : 0)
+            << "tile " << t;
+      }
+    }
+  }
+}
+
+TEST(DeviceCrew, ThrowingTileSurfacesAndTheNextRunStartsClean) {
+  // Tile 0 throws on the caller's thread, tile 3 on a crew thread. Either
+  // way run() rethrows after every tile returned, and the next run resets
+  // the clocks and runs every tile again.
+  for (const int dead : {0, 3}) {
+    SCOPED_TRACE(dead);
+    Device device(tilesim::tile_gx36());
+    const std::string message = "tile " + std::to_string(dead) + " died";
+    try {
+      device.run(4, [&](Tile& tile) {
+        tile.clock().advance(1000);
+        if (tile.id() == dead) throw std::runtime_error(message);
+        device.host_sync();
+        device.host_sync();
+      });
+      FAIL() << "the tile's error was lost";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), message);
+    }
+    EXPECT_EQ(Device::current(), nullptr);
+    EXPECT_EQ(Device::running_tile_threads(), 0);
+    std::array<std::atomic<int>, 4> ran{};
+    device.run(4, [&](Tile& tile) {
+      EXPECT_EQ(tile.clock().now(), 0u);
+      ran[static_cast<std::size_t>(tile.id())].fetch_add(1);
+      device.host_sync();
+    });
+    for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
+  }
+}
+
+TEST(DeviceCrew, NestedRunRestoresCurrentTileAndContext) {
+  // PE 0 of `outer` runs on the test's thread and PE 1 on a crew thread;
+  // each becomes PE 0 of a run on a runtime of its own, and gets its own
+  // tile and context back afterwards.
+  tshmem::Runtime outer(tilesim::tile_gx36());
+  std::array<std::unique_ptr<tshmem::Runtime>, 2> inner;
+  for (auto& rt : inner) {
+    rt = std::make_unique<tshmem::Runtime>(tilesim::tile_gx36());
+  }
+  std::atomic<int> nested{0};
+  outer.run(2, [&](tshmem::Context& ctx) {
+    Tile* const tile = Device::current();
+    ASSERT_NE(tile, nullptr);
+    tshmem::Runtime& rt = *inner[static_cast<std::size_t>(ctx.my_pe())];
+    rt.run(2, [&](tshmem::Context& c) {
+      EXPECT_EQ(tshmem::Runtime::current(), &c);
+      EXPECT_EQ(&Device::current()->device(), &rt.device());
+      nested.fetch_add(1);
+    });
+    EXPECT_EQ(Device::current(), tile);
+    EXPECT_EQ(tshmem::Runtime::current(), &ctx);
+  });
+  EXPECT_EQ(nested.load(), 4);
+  EXPECT_EQ(Device::current(), nullptr);
+  EXPECT_EQ(tshmem::Runtime::current(), nullptr);
+}
+
+TEST(DeviceCrew, DestroyedWhileItsCrewIsParked) {
+  // A crew that fits on the CPUs parks once its idle spin is over; one
+  // larger than the CPUs parks at once. ~Device must wake and join either:
+  // a lost wake-up hangs here until ctest's TIMEOUT fails the test.
+  for (const int tiles : {2, 4, 36}) {
+    Device device(tilesim::tile_gx36());
+    device.run(tiles, [](Tile&) {});
+    busy_for(std::chrono::milliseconds(2));
+  }
+}
+
+TEST(DeviceCrew, StressBackToBackRunsWithHostSyncs) {
+  // Seeded run sizes of 1-4 tiles, each meeting twice: a worker that
+  // started a job before its hand-off, or finished it after the caller
+  // returned, shows as a wrong count.
+  constexpr int kRuns = 20'000;
+  Device device(tilesim::tile_gx36());
+  tshmem_util::Xoshiro256 rng(0xc4e3);
+  std::atomic<int> arrived{0};
+  std::atomic<int> wrong{0};
+  std::atomic<long long> finished{0};
+  long long want = 0;
+  for (int run = 0; run < kRuns; ++run) {
+    const int tiles = 1 + static_cast<int>(rng.below(4));
+    arrived.store(0, std::memory_order_relaxed);
+    device.run(tiles, [&](Tile&) {
+      arrived.fetch_add(1, std::memory_order_relaxed);
+      device.host_sync();
+      if (arrived.load(std::memory_order_relaxed) != tiles) {
+        wrong.fetch_add(1, std::memory_order_relaxed);
+      }
+      device.host_sync();
+      finished.fetch_add(1, std::memory_order_relaxed);
+    });
+    want += tiles;
+    ASSERT_EQ(finished.load(std::memory_order_relaxed), want) << "run " << run;
+  }
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 }  // namespace

@@ -258,6 +258,49 @@ TEST(Cli, RejectsEveryFlagNothingRead) {
   EXPECT_NO_THROW(cli.reject_unknown());
 }
 
+TEST(Cli, UsageErrorsNameTheProgramAndTheFlag) {
+  const char* argv[] = {"prog", "--pes", "abc", "--device", "tile9"};
+  Cli cli(5, const_cast<char**>(argv));
+  try {
+    (void)cli.get_int("pes", 1);
+    FAIL() << "a bad number was accepted";
+  } catch (const CliError& e) {
+    EXPECT_STREQ(e.what(), "prog: flag --pes: expects an integer, got 'abc'");
+  }
+  const auto parse = [](const std::string& name) {
+    if (name != "gx36") throw std::invalid_argument("unknown '" + name + "'");
+    return 36;
+  };
+  try {
+    (void)cli.get_as("device", "gx36", parse);
+    FAIL() << "a bad device was accepted";
+  } catch (const CliError& e) {
+    EXPECT_STREQ(e.what(), "prog: flag --device: unknown 'tile9'");
+  }
+  const char* fine[] = {"prog"};
+  EXPECT_EQ(Cli(1, const_cast<char**>(fine)).get_as("device", "gx36", parse),
+            36);
+}
+
+TEST(Cli, MainReturnsTwoOnAUsageError) {
+  const char* argv[] = {"prog", "--typo"};
+  const auto strict = [](int argc, char** args) {
+    Cli(argc, args).reject_unknown();
+    return 0;
+  };
+  EXPECT_EQ(cli_main(1, const_cast<char**>(argv), strict), 0);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(cli_main(2, const_cast<char**>(argv), strict), 2);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "prog: unknown flag(s): --typo\n");
+  // Any other exception is not a usage error and passes through.
+  EXPECT_THROW(cli_main(1, const_cast<char**>(argv),
+                        [](int, char**) -> int {
+                          throw std::invalid_argument("not a flag");
+                        }),
+               std::invalid_argument);
+}
+
 // --- units -------------------------------------------------------------------
 
 TEST(Units, Conversions) {

@@ -9,7 +9,8 @@
 # probe consumers share the run and whichever host path the token barrier
 # takes), and finally rebuild the
 # concurrency-sensitive suites (NBI/DMA engine, tmc + tshmem barriers,
-# collectives, runtime, UDN, device runtime, the fork-join baseline and the
+# collectives, runtime, UDN, device runtime and its crew of host threads,
+# the fork-join baseline and the
 # cluster, whose waits all meet in the one host rendezvous, and the probe's
 # consumers: metrics, profiler, flight recorder and time series, race
 # detector, the CBIR app with its process-wide feature cache, and the
@@ -239,6 +240,13 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   # the repeats cover both paths of the state word and the parking lot.
   "$TSAN_DIR"/tests/test_device_runtime --gtest_filter='Rendezvous.*' \
     --gtest_repeat=20
+  # Each Device's crew grows while its older workers spin or park between
+  # jobs, so a worker that reached its slot through the crew's vector
+  # would race the vector's reallocation; the growth test shows that race
+  # as a TSan report. The repeats also cover the hand-off, the last
+  # worker's wake of the caller and teardown of a parked crew.
+  "$TSAN_DIR"/tests/test_device_runtime --gtest_filter='DeviceCrew.*' \
+    --gtest_repeat=20
   "$TSAN_DIR"/tests/test_udn --gtest_repeat=10
   "$TSAN_DIR"/tests/test_barrier_sync \
     --gtest_filter='Devices/TokenRendezvousTest.*' --gtest_repeat=10
@@ -270,7 +278,7 @@ fi
 
 if [ "${TSHMEM_CI_ASAN:-1}" != "0" ]; then
   echo "== asan+ubsan (test_fault_injection, test_failure_injection," \
-       "test_nbi, test_flightrec, test_apps_cbir)"
+       "test_nbi, test_flightrec, test_apps_cbir, test_device_runtime)"
   ASAN_DIR="${BUILD_DIR}-asan"
   cmake -B "$ASAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -278,7 +286,7 @@ if [ "${TSHMEM_CI_ASAN:-1}" != "0" ]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
   cmake --build "$ASAN_DIR" -j \
     --target test_fault_injection test_failure_injection test_nbi \
-    test_flightrec test_apps_cbir
+    test_flightrec test_apps_cbir test_device_runtime
   # ASan/UBSan abort on the first finding, so a clean gtest pass means a
   # clean run (including the error/exception paths the fault tests force).
   "$ASAN_DIR"/tests/test_fault_injection
@@ -290,6 +298,9 @@ if [ "${TSHMEM_CI_ASAN:-1}" != "0" ]; then
   # The extractor's row and column pair loops, on the oracle's edge shapes.
   "$ASAN_DIR"/tests/test_apps_cbir \
     --gtest_filter=-CbirOracle.EveryDefaultDatabaseImage
+  # Each Device's crew: its teardown, parked or spinning, and the paths of
+  # a tile that throws on the caller's thread or on a crew thread.
+  "$ASAN_DIR"/tests/test_device_runtime
 else
   echo "== asan+ubsan: skipped (TSHMEM_CI_ASAN=0)"
 fi

@@ -2,16 +2,21 @@
 """Perf trajectory harness (docs/PROFILING.md).
 
 Runs the figure benches (fig03..fig14) plus the extension benches
-(ext_overlap, ext_faults), recording for each:
+(ext_overlap, ext_faults, ext_serve), recording for each:
 
-  - host wall-clock seconds (time.monotonic around the process),
-  - simulated virtual time + critical-path summary, harvested from the
-    bench's own --profile-json output (schema tshmem.profile.v1), and
-  - flight-recorder overhead: each bench is re-run with TSHMEM_FLIGHTREC=1
-    and TSHMEM_TIMESERIES_WINDOW_PS set (docs/OBSERVABILITY.md), and the
-    wall-clock ratio is gated at --max-recorder-overhead (default 1.05).
+  - the plain command line a user runs, with no telemetry flag: its host
+    wall-clock seconds (time.monotonic around the process) and the
+    child's user and sys CPU seconds, minor page faults and voluntary and
+    involuntary context switches (getrusage(RUSAGE_CHILDREN) deltas),
+  - simulated virtual time + critical-path summary, harvested from a
+    separate run of the same command line with --profile-json (schema
+    tshmem.profile.v1), whose own wall clock is `profiled_wall_s`, and
+  - flight-recorder overhead: the plain command line is re-run with
+    TSHMEM_FLIGHTREC=1 and TSHMEM_TIMESERIES_WINDOW_PS set
+    (docs/OBSERVABILITY.md), and the wall-clock ratio against the plain
+    run is gated at --max-recorder-overhead (default 1.05).
     Gated benches take the best of two runs on *both* sides (recorder-on,
-    and a fresh recorder-off re-run vs the main run) — single-shot wall
+    and a fresh plain re-run vs the main run) — single-shot wall
     clocks on a loaded host swing more than the 5% budget being measured.
     Benches faster than the noise floor (0.3 s) are reported but not
     gated — process startup noise dominates there. Virtual time is
@@ -23,11 +28,12 @@ When a prior BENCH_*.json exists, the new run is diffed against the newest
 one: a bench whose wall-clock grew by more than --max-wall-regression
 (default 1.25x) fails the run — unless both sides sit under the noise
 floor, where a few hundredths of a second of scheduler jitter can exceed
-any ratio, or unless up to two fresh re-runs come in under the gate
-(a co-tenant load spike during the recorded run is not a code
-regression) — and virtual-time changes are reported as informational drift
-(virtual time moves only when the model changes, so a drift line is a
-review prompt, not an error).
+any ratio, or unless up to two fresh re-runs of the same plain command
+line come in under the gate (a co-tenant load spike during the recorded
+run is not a code regression) — and virtual-time changes are reported as
+informational drift (virtual time moves only when the model changes, so a
+drift line is a review prompt, not an error). Files recorded before
+BENCH_25 timed the profiled run as wall_s.
 
 Usage:
   tools/perf_run.py [--build-dir build] [--out PATH]
@@ -41,6 +47,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -110,13 +117,44 @@ def summarize_profile(doc):
             crit.get("dominant_share"), phase_ps)
 
 
-def run_bench(build_dir, name, args):
-    binary = os.path.join(build_dir, "bench", name)
+# The child's getrusage fields each timed run records, as entry keys.
+USAGE_FIELDS = (("user_s", "ru_utime"), ("sys_s", "ru_stime"),
+                ("minflt", "ru_minflt"), ("nvcsw", "ru_nvcsw"),
+                ("nivcsw", "ru_nivcsw"))
+
+
+def plain_command(build_dir, name, args):
+    """The command line a user runs: the bench and its args, with no
+    telemetry flag. The timed run, the recorder runs and every re-run use
+    it; the profiled run appends --profile-json to it."""
+    return [os.path.join(build_dir, "bench", name)] + list(args)
+
+
+def timed_run(cmd, env=None):
+    """Runs `cmd` to completion. Returns (exit code, wall seconds, the
+    child's getrusage deltas keyed as USAGE_FIELDS, stdout text). Runs are
+    sequential, so the RUSAGE_CHILDREN delta is this child's alone."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    t0 = time.monotonic()
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, check=False, env=env,
+                          text=True, errors="replace")
+    wall = time.monotonic() - t0
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = {key: round(getattr(after, f) - getattr(before, f), 4)
+             for key, f in USAGE_FIELDS}
+    return proc.returncode, round(wall, 4), usage, proc.stdout or ""
+
+
+def run_bench(build_dir, name, args, noise_floor=OVERHEAD_NOISE_FLOOR_S):
+    plain = plain_command(build_dir, name, args)
     entry = {
         "name": name,
         "args": args,
         "exit_code": None,
         "wall_s": None,
+        **{key: None for key, _ in USAGE_FIELDS},
+        "profiled_wall_s": None,
         "total_vt_ps": None,
         "dominant_phase": None,
         "dominant_share": None,
@@ -126,24 +164,22 @@ def run_bench(build_dir, name, args):
         "recorder_wall_s": None,
         "recorder_overhead": None,
     }
-    if not os.path.exists(binary):
+    if not os.path.exists(plain[0]):
         entry["exit_code"] = -1
-        print(f"  {name}: MISSING ({binary})", file=sys.stderr)
+        print(f"  {name}: MISSING ({plain[0]})", file=sys.stderr)
         return entry
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tf:
         profile_path = tf.name
     try:
-        cmd = [binary] + args + ["--profile-json", profile_path]
-        t0 = time.monotonic()
-        proc = subprocess.run(cmd, stdout=subprocess.PIPE,
-                              stderr=subprocess.DEVNULL, check=False,
-                              text=True, errors="replace")
-        entry["wall_s"] = round(time.monotonic() - t0, 4)
-        entry["exit_code"] = proc.returncode
-        m = SERVE_LINE.search(proc.stdout or "")
+        code, entry["wall_s"], usage, out = timed_run(plain)
+        entry.update(usage)
+        m = SERVE_LINE.search(out)
         if m:
             entry["qps"] = float(m.group("qps"))
             entry["p99_latency_ps"] = int(m.group("p99"))
+        prof_code, entry["profiled_wall_s"], _, _ = timed_run(
+            plain + ["--profile-json", profile_path])
+        entry["exit_code"] = code or prof_code
         try:
             with open(profile_path) as f:
                 doc = json.load(f)
@@ -151,30 +187,27 @@ def run_bench(build_dir, name, args):
             doc = None
         (entry["total_vt_ps"], entry["dominant_phase"],
          entry["dominant_share"], entry["phase_ps"]) = summarize_profile(doc)
-        # Recorder-overhead pass: identical command line, flight recorder
-        # + windowed time series forced on via the environment. Only the
-        # host wall clock may move; virtual time is contract-identical.
-        # Gated benches (above the noise floor) take best-of-2 on both
-        # sides so host load spikes don't masquerade as recorder cost.
+        # Recorder-overhead pass: the plain command line, with the flight
+        # recorder + windowed time series forced on via the environment.
+        # Only the host wall clock may move; virtual time is
+        # contract-identical. Gated benches (above the noise floor) take
+        # best-of-2 on both sides so host load spikes don't masquerade as
+        # recorder cost.
         if entry["exit_code"] == 0:
             rec_env = dict(os.environ)
             rec_env["TSHMEM_FLIGHTREC"] = "1"
             rec_env["TSHMEM_TIMESERIES_WINDOW_PS"] = "1000000000"
 
-            def timed_run(run_env):
-                t0 = time.monotonic()
-                r = subprocess.run(cmd, stdout=subprocess.DEVNULL,
-                                   stderr=subprocess.DEVNULL, check=False,
-                                   env=run_env)
-                return (time.monotonic() - t0) if r.returncode == 0 else None
+            def wall_of(run_env):
+                rc, wall, _, _ = timed_run(plain, run_env)
+                return wall if rc == 0 else None
 
-            gated = (entry["wall_s"] or 0) >= OVERHEAD_NOISE_FLOOR_S
-            on_walls = [timed_run(rec_env)
-                        for _ in range(2 if gated else 1)]
+            gated = entry["wall_s"] >= noise_floor
+            on_walls = [wall_of(rec_env) for _ in range(2 if gated else 1)]
             on_walls = [w for w in on_walls if w is not None]
             base = entry["wall_s"]
             if gated:
-                off_again = timed_run(None)
+                off_again = wall_of(None)
                 if off_again is not None and base:
                     base = min(base, off_again)
             if on_walls and base:
@@ -188,10 +221,23 @@ def run_bench(build_dir, name, args):
              if entry["qps"] is not None else "")
     rec = (f", recorder {entry['recorder_overhead']:.2f}x"
            if entry["recorder_overhead"] is not None else "")
-    print(f"  {name}: wall {entry['wall_s']:.2f}s, vt "
+    cpu = (f" (user {entry['user_s']:.2f}s sys {entry['sys_s']:.2f}s), "
+           f"profiled {entry['profiled_wall_s']:.2f}s"
+           if entry["profiled_wall_s"] is not None else "")
+    print(f"  {name}: wall {entry['wall_s']:.2f}s{cpu}, vt "
           f"{vt if vt is not None else '?'} ps, dominant "
           f"{entry['dominant_phase']}{serve}{rec}")
     return entry
+
+
+def rerun_wall(build_dir, name, args):
+    """A fresh wall clock of the plain command line run_bench timed, or
+    None when the bench is missing or fails."""
+    plain = plain_command(build_dir, name, args)
+    if not os.path.exists(plain[0]):
+        return None
+    code, wall, _, _ = timed_run(plain)
+    return wall if code == 0 else None
 
 
 def bench_index(out_path):
@@ -233,6 +279,10 @@ def validate(doc):
         if b.get("qps") is not None:
             assert b["qps"] > 0.0
             assert isinstance(b["p99_latency_ps"], int)
+        for key in [k for k, _ in USAGE_FIELDS] + ["profiled_wall_s"]:
+            v = b.get(key)
+            assert v is None or (isinstance(v, (int, float)) and v >= 0), \
+                (b["name"], key, v)
         if b.get("recorder_overhead") is not None:
             assert b["recorder_overhead"] > 0.0
             assert isinstance(b["recorder_wall_s"], (int, float))
@@ -315,7 +365,8 @@ def overhead_failures(benches, max_recorder_overhead):
         if ratio > max_recorder_overhead:
             failures.append(
                 f"{b['name']}: recorder overhead {ratio:.2f}x > "
-                f"{max_recorder_overhead:.2f}x (wall {b['wall_s']:.2f}s -> "
+                f"{max_recorder_overhead:.2f}x (best plain wall "
+                f"{b['recorder_wall_s'] / ratio:.2f}s -> "
                 f"{b['recorder_wall_s']:.2f}s)")
     return failures
 
@@ -403,8 +454,72 @@ def selftest():
         assert diff_against(prior, real, 1.25)
     finally:
         os.unlink(prior)
+    selftest_runs()
     print("perf_run selftest OK")
     return 0
+
+
+# A stand-in bench for selftest_runs: it logs each call's flags and
+# whether the recorder was on, burns a little CPU, writes a profile when
+# asked and prints an ext_serve summary line.
+FAKE_BENCH = """#!/usr/bin/env python3
+import json, os, sys, time
+with open(os.path.join(os.path.dirname(sys.argv[0]), "calls.log"), "a") as f:
+    f.write(json.dumps([sys.argv[1:],
+                        os.environ.get("TSHMEM_FLIGHTREC") == "1"]) + "\\n")
+if "--profile-json" in sys.argv:
+    with open(sys.argv[sys.argv.index("--profile-json") + 1], "w") as f:
+        json.dump({"schema": "tshmem.profile.v1", "total_vt_ps": 7,
+                   "phases": [{"phase": "compute", "total_ps": 7}],
+                   "critical_path": {"dominant_phase": "compute",
+                                     "dominant_share": 1.0}}, f)
+t = time.process_time()
+while time.process_time() - t < 0.02:
+    pass
+print("serve: qps=10.0 p50_ps=1 p99_ps=2 p999_ps=3")
+"""
+
+
+def selftest_runs():
+    """Checks which command lines run_bench and rerun_wall time, with a
+    stand-in bench, and that timed_run's CPU is its own child's."""
+    busy = [sys.executable, "-c",
+            "import time\nt = time.process_time()\n"
+            "while time.process_time() - t < 0.2: pass"]
+    code, wall, usage, _ = timed_run(busy)
+    assert code == 0 and wall >= 0.15, (code, wall)
+    assert usage["user_s"] + usage["sys_s"] >= 0.15, usage
+    _, _, usage, _ = timed_run([sys.executable, "-c", "pass"])
+    # The busy child is not counted again.
+    assert usage["user_s"] + usage["sys_s"] < 0.15, usage
+    args = ["--device", "gx36"]
+    with tempfile.TemporaryDirectory() as d:
+        os.mkdir(os.path.join(d, "bench"))
+        fake = os.path.join(d, "bench", "fake")
+        with open(fake, "w") as f:
+            f.write(FAKE_BENCH)
+        os.chmod(fake, 0o755)
+        # A zero noise floor takes the gated path: two recorder-on runs
+        # and one more plain run.
+        e = run_bench(d, "fake", args, noise_floor=0.0)
+        with open(os.path.join(d, "bench", "calls.log")) as f:
+            calls = [json.loads(line) for line in f]
+        assert calls[0] == [args, False], calls  # the timed run is plain
+        assert calls[1][0][:-1] == args + ["--profile-json"], calls
+        assert not calls[1][1]
+        assert calls[2:] == [[args, True], [args, True], [args, False]], \
+            calls
+        assert e["exit_code"] == 0 and e["total_vt_ps"] == 7, e
+        assert e["dominant_phase"] == "compute" and e["qps"] == 10.0, e
+        assert e["user_s"] + e["sys_s"] >= 0.02, e
+        assert e["profiled_wall_s"] > 0, e
+        assert e["recorder_overhead"] > 0, e
+        assert rerun_wall(d, "fake", args) > 0
+        with open(os.path.join(d, "bench", "calls.log")) as f:
+            assert json.loads(f.readlines()[-1]) == [args, False]
+        assert rerun_wall(d, "missing", args) is None
+        validate({"schema": SCHEMA, "bench_index": 25, "benches": [e],
+                  "totals": {"wall_s": e["wall_s"], "total_vt_ps": 7}})
 
 
 def main():
@@ -436,16 +551,20 @@ def main():
         "build_dir": os.path.relpath(opts.build_dir, ROOT),
         "benches": benches,
         "totals": {
-            "wall_s": round(sum(b["wall_s"] or 0 for b in benches), 4),
-            "total_vt_ps": sum(b["total_vt_ps"] or 0 for b in benches),
+            key: round(sum(b[key] or 0 for b in benches), 4)
+            for key in ("wall_s", "user_s", "sys_s", "profiled_wall_s")
         },
     }
+    doc["totals"]["total_vt_ps"] = sum(b["total_vt_ps"] or 0
+                                       for b in benches)
     validate(doc)
     with open(out_path, "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
-    print(f"wrote {out_path} (total wall {doc['totals']['wall_s']:.1f}s, "
-          f"total vt {doc['totals']['total_vt_ps']} ps)")
+    t = doc["totals"]
+    print(f"wrote {out_path} (total wall {t['wall_s']:.1f}s, user "
+          f"{t['user_s']:.1f}s, sys {t['sys_s']:.1f}s, profiled wall "
+          f"{t['profiled_wall_s']:.1f}s, total vt {t['total_vt_ps']} ps)")
 
     failures = overhead_failures(benches, opts.max_recorder_overhead)
     for f_ in failures:
@@ -454,14 +573,7 @@ def main():
     args_by_name = dict(BENCHES)
 
     def rerun_bench(name):
-        binary = os.path.join(opts.build_dir, "bench", name)
-        if not os.path.exists(binary):
-            return None
-        t0 = time.monotonic()
-        r = subprocess.run([binary] + args_by_name.get(name, []),
-                           stdout=subprocess.DEVNULL,
-                           stderr=subprocess.DEVNULL, check=False)
-        return (time.monotonic() - t0) if r.returncode == 0 else None
+        return rerun_wall(opts.build_dir, name, args_by_name.get(name, []))
 
     prior = prior_bench(index)
     if prior:
