@@ -14,11 +14,8 @@ FlightRecorder::FlightRecorder(int npes, std::size_t capacity)
   if (capacity < 1) {
     throw std::invalid_argument("FlightRecorder: capacity < 1");
   }
-  rings_.reserve(static_cast<std::size_t>(npes));
-  for (int i = 0; i < npes; ++i) {
-    rings_.push_back(std::make_unique<PeRing>());
-    rings_.back()->ring.resize(capacity);
-  }
+  rings_ = std::vector<PeRing>(static_cast<std::size_t>(npes));
+  for (PeRing& r : rings_) r.ring.resize(capacity);
 }
 
 FlightRecorder::FlightRecorder(const tilesim::Device& device,
@@ -42,7 +39,7 @@ void FlightRecorder::on_event(int pe, const tilesim::ProbeEvent& e) {
   if (pe < 0 || pe >= npes_) return;  // unattributed (standalone engines)
   const tilesim::ps_t folded =
       epoch_base_ps_.load(std::memory_order_relaxed) + e.vt;
-  PeRing& r = *rings_[static_cast<std::size_t>(pe)];
+  PeRing& r = rings_[static_cast<std::size_t>(pe)];
   // Single writer (this PE's thread): plain slot stores, published by the
   // release store of next_seq below.
   const std::uint64_t seq = r.next_seq.load(std::memory_order_relaxed);
@@ -64,7 +61,7 @@ tilesim::ps_t FlightRecorder::epoch_base_ps() const {
 
 std::uint64_t FlightRecorder::total_recorded(int pe) const {
   if (pe < 0 || pe >= npes_) return 0;
-  const PeRing& r = *rings_[static_cast<std::size_t>(pe)];
+  const PeRing& r = rings_[static_cast<std::size_t>(pe)];
   return r.next_seq.load(std::memory_order_acquire);
 }
 
@@ -72,7 +69,7 @@ std::vector<FrEvent> FlightRecorder::snapshot(int pe) const {
   if (pe < 0 || pe >= npes_) {
     throw std::out_of_range("FlightRecorder::snapshot: pe out of range");
   }
-  const PeRing& r = *rings_[static_cast<std::size_t>(pe)];
+  const PeRing& r = rings_[static_cast<std::size_t>(pe)];
   // Lock-free read racing a lock-free writer: the acquire load makes
   // every slot below `n` fully visible; slots the writer overwrote while
   // we copied are exactly those whose seq fell below the post-copy window

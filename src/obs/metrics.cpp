@@ -41,6 +41,20 @@ void Log2Histogram::record(std::uint64_t sample) noexcept {
   }
 }
 
+void Log2Histogram::owner_record(std::uint64_t sample) noexcept {
+  using tshmem_util::owner_add;
+  owner_add(count_, std::uint64_t{1});
+  owner_add(sum_, sample);
+  owner_add(buckets_[static_cast<std::size_t>(bucket_of(sample))],
+            std::uint64_t{1});
+  if (sample < min_.load(std::memory_order_relaxed)) {
+    min_.store(sample, std::memory_order_relaxed);
+  }
+  if (sample > max_.load(std::memory_order_relaxed)) {
+    max_.store(sample, std::memory_order_relaxed);
+  }
+}
+
 // ===========================================================================
 // MetricsRegistry
 // ===========================================================================

@@ -10,9 +10,12 @@
 // RuntimeOptions::validate_symmetry).
 //
 // Hot-path cost: a metric handle is a stable pointer resolved once through
-// the sharded registry; updates are relaxed atomics on that handle. The
-// registry itself is lock-sharded so concurrent registration from many PE
-// threads does not serialize.
+// the sharded registry; updates are relaxed atomics on that handle. A cell
+// that any thread may update (add, record) takes a read-modify-write; a
+// cell that only one thread writes at a time, such as obs::OpMetrics'
+// per-PE cells, updates with a relaxed load and store (owner_add,
+// owner_record). The registry itself is lock-sharded so concurrent
+// registration from many PE threads does not serialize.
 #pragma once
 
 #include <atomic>
@@ -23,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/owner_add.hpp"
 #include "util/units.hpp"
 
 namespace obs {
@@ -40,6 +44,10 @@ class Counter {
     v_.fetch_add(delta, std::memory_order_relaxed);
   }
   void inc() noexcept { add(1); }
+  /// add() for a counter that only the calling thread writes.
+  void owner_add(std::uint64_t delta) noexcept {
+    tshmem_util::owner_add(v_, delta);
+  }
   [[nodiscard]] std::uint64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);
   }
@@ -74,6 +82,8 @@ class Log2Histogram {
   static constexpr int kBuckets = 65;
 
   void record(std::uint64_t sample) noexcept;
+  /// record() for a histogram that only the calling thread writes.
+  void owner_record(std::uint64_t sample) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);

@@ -73,7 +73,7 @@ void OpMetrics::on_span_begin(int tile, ProbeKind kind, const char* /*site*/,
                               tilesim::ps_t now) {
   Pe& p = pes_[static_cast<std::size_t>(tile)];
   Log2Histogram* latency = p.latency[at(kind)];
-  if (latency != nullptr) p.calls[at(kind)]->inc();
+  if (latency != nullptr) p.calls[at(kind)]->owner_add(1);
   p.open.emplace_back(latency, now);
 }
 
@@ -82,14 +82,16 @@ void OpMetrics::on_span_end(int tile, tilesim::ps_t now) {
   if (p.open.empty()) return;
   const auto [latency, begin] = p.open.back();
   p.open.pop_back();
-  if (latency != nullptr) latency->record(now - begin);
+  if (latency != nullptr) latency->owner_record(now - begin);
 }
 
 void OpMetrics::on_event(int tile, const tilesim::ProbeEvent& e) {
   Pe& p = pes_[static_cast<std::size_t>(tile)];
   const std::size_t k = at(e.kind);
-  if (p.latency[k] == nullptr && p.calls[k] != nullptr) p.calls[k]->inc();
-  if (p.bytes[k] != nullptr) p.bytes[k]->add(e.bytes);
+  if (p.latency[k] == nullptr && p.calls[k] != nullptr) {
+    p.calls[k]->owner_add(1);
+  }
+  if (p.bytes[k] != nullptr) p.bytes[k]->owner_add(e.bytes);
   if (e.kind == ProbeKind::kDmaIssue) {
     ++p.dma_pending;
     p.dma_busy_ps += e.complete_ps - e.start_ps;
@@ -99,15 +101,15 @@ void OpMetrics::on_event(int tile, const tilesim::ProbeEvent& e) {
     // `bytes` is the retired count and `vt` the latest completion.
     const tilesim::ps_t before = device_->tile(tile).clock().now();
     const tilesim::ps_t wait = e.vt > before ? e.vt - before : 0;
-    p.nbi_retired->add(e.bytes);
+    p.nbi_retired->owner_add(e.bytes);
     p.nbi_queue_depth->set(0);
-    p.nbi_quiet_wait->record(wait);
+    p.nbi_quiet_wait->owner_record(wait);
     if (p.dma_busy_ps > 0) {
       // How much of the engine's transfer time hid behind computation
       // since issue (100 = fully overlapped).
       const tilesim::ps_t hidden =
           p.dma_busy_ps > wait ? p.dma_busy_ps - wait : 0;
-      p.nbi_overlap->record(100 * hidden / p.dma_busy_ps);
+      p.nbi_overlap->owner_record(100 * hidden / p.dma_busy_ps);
     }
     p.dma_pending = 0;
     p.dma_busy_ps = 0;

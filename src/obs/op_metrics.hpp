@@ -4,6 +4,10 @@
 // its call when its span begins and records the span's duration when it
 // ends, so a call that throws still counts, with its partial wait; every
 // other count comes from the op's event. Nothing here advances a clock.
+// Every callback for a PE runs on that PE's thread (the Probe contract),
+// and no one else writes these metrics, so a PE's cells are owner-written:
+// Counter::owner_add and Log2Histogram::owner_record, never a locked
+// read-modify-write.
 #pragma once
 
 #include <array>
@@ -32,7 +36,8 @@ class OpMetrics final : public tilesim::Probe {
   template <typename T>
   using PerKind = std::array<T*, tilesim::kProbeKindCount>;
 
-  /// Written only by the tile's own thread (the Probe contract).
+  /// Written only by the tile's own thread (the Probe contract), and so
+  /// are the registry cells it points at.
   struct alignas(64) Pe {
     PerKind<Counter> calls{};
     PerKind<Counter> bytes{};

@@ -137,6 +137,7 @@ class Device::Crew {
 Tile::Tile(Device& device, int id)
     : device_(&device),
       id_(id),
+      last_copy_ps_(device.mem_model().copy_cost_ps(last_copy_)),
       dma_(std::make_unique<DmaEngine>(device.config(), id)) {}
 
 void Tile::charge_int_ops(std::uint64_t n) {
@@ -156,7 +157,11 @@ void Tile::charge_calls(std::uint64_t n) {
 }
 
 void Tile::charge_copy(const CopyRequest& req) {
-  clock_.advance(device_->mem_model().copy_cost_ps(req));
+  if (req != last_copy_) {
+    last_copy_ = req;
+    last_copy_ps_ = device_->mem_model().copy_cost_ps(req);
+  }
+  clock_.advance(last_copy_ps_);
 }
 
 Device::Device(const DeviceConfig& cfg)

@@ -43,7 +43,9 @@ class Tile {
   void charge_mem_ops(std::uint64_t n);
   void charge_calls(std::uint64_t n);
 
-  /// Charge a modeled memory copy.
+  /// Charge a modeled memory copy: MemModel::copy_cost_ps(req), which is
+  /// a pure function of the request, so the tile keeps the last request
+  /// and its cost and charges a repeat without evaluating the curve.
   void charge_copy(const CopyRequest& req);
 
   /// This tile's asynchronous DMA engine (non-blocking TSHMEM transfers).
@@ -56,6 +58,9 @@ class Tile {
   Device* device_;
   int id_;
   SimClock clock_;
+  // charge_copy's memo; written, like clock_, only by the clock's owner.
+  CopyRequest last_copy_;
+  ps_t last_copy_ps_;
   std::unique_ptr<DmaEngine> dma_;
 };
 

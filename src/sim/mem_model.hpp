@@ -24,6 +24,8 @@ struct CopyRequest {
   Homing homing = Homing::kHashForHome;  ///< homing of the shared page(s)
   int concurrent_readers = 1;  ///< streams concurrently reading the source
   int concurrent_writers = 1;  ///< streams concurrently writing the target
+
+  friend bool operator==(const CopyRequest&, const CopyRequest&) = default;
 };
 
 class MemModel {

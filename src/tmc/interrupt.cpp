@@ -5,6 +5,7 @@
 
 #include "sim/fault.hpp"
 #include "sim/probe.hpp"
+#include "util/owner_add.hpp"
 
 namespace tmc {
 
@@ -17,8 +18,9 @@ InterruptController::InterruptController(Device& device) : device_(&device) {
 
 void InterruptController::raise(Tile& requester, int target_tile,
                                 const std::function<void(Tile&)>& handler) {
-  per_tile_[static_cast<std::size_t>(requester.id())]->raised.fetch_add(
-      1, std::memory_order_relaxed);
+  tshmem_util::owner_add(
+      per_tile_[static_cast<std::size_t>(requester.id())]->raised,
+      std::uint64_t{1});
   if (!supported()) {
     throw std::runtime_error(
         "UDN interrupts are not supported on " + device_->config().name +

@@ -65,7 +65,8 @@ class InterruptController {
   struct PerTile {
     std::mutex mu;
     std::uint64_t serviced = 0;
-    std::atomic<std::uint64_t> raised{0};  ///< as the requester
+    /// As the requester: written only by this tile's own thread.
+    std::atomic<std::uint64_t> raised{0};
     /// Interrupt service context: carries the service timeline for this
     /// target. Created on first raise; its clock re-zeroes lazily when the
     /// device's clock generation moves (job/phase boundaries).

@@ -8,6 +8,7 @@
 #include "sim/probe.hpp"
 #include "sim/topology.hpp"
 #include "util/error.hpp"
+#include "util/owner_add.hpp"
 
 namespace tmc {
 
@@ -25,6 +26,7 @@ constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
 }
 
 using tilesim::guarded_wait;
+using tshmem_util::owner_add;
 
 /// The sender's wait while the destination queue lacks room.
 constexpr const char* kQueueFullWait = "udn send: destination queue full";
@@ -127,12 +129,11 @@ void UdnFabric::injected(Tile& sender, int dst_tile, std::size_t words) {
   sender.clock().advance(static_cast<ps_t>(words) *
                          device_->config().cycle_ps());
   TrafficCell& c = *traffic_[static_cast<std::size_t>(sender.id())];
-  c.packets.fetch_add(1, std::memory_order_relaxed);
-  c.words.fetch_add(words, std::memory_order_relaxed);
+  owner_add(c.packets, std::uint64_t{1});
+  owner_add(c.words, static_cast<std::uint64_t>(words));
   if (sender.id() != dst_tile) {
-    c.hops.fetch_add(static_cast<std::uint64_t>(
-                         device_->topology().hops(sender.id(), dst_tile)),
-                     std::memory_order_relaxed);
+    owner_add(c.hops, static_cast<std::uint64_t>(device_->topology().hops(
+                          sender.id(), dst_tile)));
   }
   tilesim::probe_event(sender, {tilesim::ProbeKind::kUdnSend, "udn_send",
                                 sender.clock().now(), dst_tile,
@@ -197,9 +198,8 @@ void UdnFabric::send(Tile& sender, int dst_tile, int queue,
       const ps_t backoff = plan.udn_backoff_base_ps
                            << (attempt < 20 ? attempt : 20);
       sender.clock().advance(backoff);
-      traffic.retries.fetch_add(1, std::memory_order_relaxed);
-      traffic.backoff_ps.fetch_add(static_cast<std::uint64_t>(backoff),
-                                   std::memory_order_relaxed);
+      owner_add(traffic.retries, std::uint64_t{1});
+      owner_add(traffic.backoff_ps, static_cast<std::uint64_t>(backoff));
       tilesim::probe_event(sender, {tilesim::ProbeKind::kFaultRetry,
                                     "udn_retry", sender.clock().now(), dst_tile,
                                     static_cast<std::uint64_t>(backoff)});

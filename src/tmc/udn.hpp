@@ -149,6 +149,8 @@ class UdnFabric {
   [[nodiscard]] Device& device() const noexcept { return *device_; }
 
  private:
+  /// Written only by the sending tile's thread (tshmem_util::owner_add);
+  /// traffic() reads it from any thread.
   struct TrafficCell {
     std::atomic<std::uint64_t> packets{0};
     std::atomic<std::uint64_t> words{0};

@@ -637,12 +637,11 @@ void Context::ctrl_consumed(int src_pe, ps_t wait_begin, ps_t arrival) {
 // Barriers (paper §IV-C1)
 // ===========================================================================
 
-std::uint32_t Context::next_barrier_seq(const ActiveSet& as) {
-  return barrier_seq_[as.id()]++;
-}
-
-std::uint32_t Context::next_collective_seq(const ActiveSet& as) {
-  return collective_seq_[as.id()]++;
+Context::SetState& Context::set_state(const ActiveSet& as) {
+  for (SetState& s : sets_) {
+    if (s.set == as) return s;
+  }
+  return sets_.emplace_back(SetState{as});
 }
 
 void Context::barrier_all() { barrier(world()); }
@@ -659,16 +658,17 @@ void Context::barrier(const ActiveSet& as, BarrierAlgo algo) {
   // A barrier also completes outstanding puts (OpenSHMEM semantics).
   quiet();
   if (as.pe_size > 1) {
-    const std::uint32_t seq = next_barrier_seq(as);
+    SetState& s = set_state(as);
+    const std::uint32_t seq = s.barrier_seq++;
     switch (algo) {
       case BarrierAlgo::kLinearToken:
-        barrier_linear(as, seq);
+        barrier_linear(as, seq, s);
         break;
       case BarrierAlgo::kBroadcastRelease:
         barrier_broadcast_release(as, seq);
         break;
       case BarrierAlgo::kTmcSpin:
-        barrier_tmc_spin(as);
+        barrier_tmc_spin(as, s);
         break;
     }
   }
@@ -677,7 +677,8 @@ void Context::barrier(const ActiveSet& as, BarrierAlgo algo) {
   probe.event(bar_end, -1, static_cast<std::uint64_t>(bar_end - bar_begin));
 }
 
-void Context::barrier_linear(const ActiveSet& as, std::uint32_t seq) {
+void Context::barrier_linear(const ActiveSet& as, std::uint32_t seq,
+                             SetState& s) {
   // The start tile generates a token identifying this barrier instance; a
   // WAIT signal circulates linearly through the active set and back to the
   // start, then a RELEASE signal makes the same loop. Tokens travel on the
@@ -694,7 +695,8 @@ void Context::barrier_linear(const ActiveSet& as, std::uint32_t seq) {
     // path below runs it. Each send and receive makes the same clock
     // advances and merges, the same traffic counts and the same probe
     // records, in the same order.
-    const TokenTimes t = rt_->token_barrier_for(as).wait(*tile_, idx);
+    if (s.token == nullptr) s.token = &rt_->token_barrier_for(as);
+    const TokenTimes t = s.token->wait(*tile_, idx);
     auto send = [&] {
       tile_->clock().advance(forward_cost);
       rt_->udn().send_unqueued(*tile_, next, kCtrlMsgWords);
@@ -790,11 +792,12 @@ void Context::barrier_broadcast_release(const ActiveSet& as,
   }
 }
 
-void Context::barrier_tmc_spin(const ActiveSet& as) {
+void Context::barrier_tmc_spin(const ActiveSet& as, SetState& s) {
   // §IV-E: on the TILE-Gx the TMC spin barrier beats the UDN token design;
   // this variant adopts it (usable only when each PE owns its tile, which
   // is always true under this runtime).
-  rt_->spin_barrier_for(as).wait(*tile_, as.index_of(pe_));
+  if (s.spin == nullptr) s.spin = &rt_->spin_barrier_for(as);
+  s.spin->wait(*tile_, as.index_of(pe_));
 }
 
 // ===========================================================================

@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -283,8 +282,20 @@ class Context {
   bool finalized_ = false;
   analysis::RaceDetector* race_ = nullptr;  ///< tshmem-check (set by Runtime)
 
-  std::map<std::uint32_t, std::uint32_t> barrier_seq_;   // active-set id -> seq
-  std::map<std::uint32_t, std::uint32_t> collective_seq_;
+  /// What this PE keeps per exact active set it synchronizes over: the
+  /// sequence numbers its next barrier and collective on the set carry,
+  /// and the set's shared barrier objects, which it looks up in the
+  /// Runtime (under the Runtime's lock) only at its first barrier on the
+  /// set. Like the Context, an entry lives for one job; the Runtime frees
+  /// the barrier objects when the job ends.
+  struct SetState {
+    ActiveSet set;
+    std::uint32_t barrier_seq = 0;
+    std::uint32_t collective_seq = 0;
+    TokenBarrier* token = nullptr;
+    tmc::SpinBarrier* spin = nullptr;
+  };
+  std::vector<SetState> sets_;
   struct StashedCtrl {
     int src_pe;
     tilesim::ps_t arrival_ps;
@@ -320,8 +331,12 @@ class Context {
                          tilesim::MemSpace src, CopyHints hints);
   void do_memcpy_visible(void* dst, const void* src, std::size_t bytes);
 
-  std::uint32_t next_barrier_seq(const ActiveSet& as);
-  std::uint32_t next_collective_seq(const ActiveSet& as);
+  /// The entry for `as`, added at first use. A reference to it stays
+  /// valid until the next call.
+  SetState& set_state(const ActiveSet& as);
+  std::uint32_t next_collective_seq(const ActiveSet& as) {
+    return set_state(as).collective_seq++;
+  }
 
   /// The records of a control message to `dst_pe` leaving this PE.
   void ctrl_sent(int dst_pe);
@@ -330,9 +345,9 @@ class Context {
   /// wait edge and kCtrlRecv.
   void ctrl_consumed(int src_pe, ps_t wait_begin, ps_t arrival);
 
-  void barrier_linear(const ActiveSet& as, std::uint32_t seq);
+  void barrier_linear(const ActiveSet& as, std::uint32_t seq, SetState& s);
   void barrier_broadcast_release(const ActiveSet& as, std::uint32_t seq);
-  void barrier_tmc_spin(const ActiveSet& as);
+  void barrier_tmc_spin(const ActiveSet& as, SetState& s);
 
   void bcast_push(void* target, const void* source, std::size_t bytes,
                   int root_index, const ActiveSet& as, std::uint32_t seq);

@@ -15,6 +15,7 @@
 #include "sim/probe.hpp"
 #include "tshmem/context.hpp"
 #include "util/error.hpp"
+#include "util/owner_add.hpp"
 
 namespace tshmem {
 
@@ -247,7 +248,7 @@ Context& Runtime::context(int pe) const {
 }
 
 void Runtime::note_delivery(int pe, ps_t completion) {
-  auto& slot = *delivery_[static_cast<std::size_t>(pe)];
+  auto& slot = delivery_[static_cast<std::size_t>(pe)].completion;
   ps_t cur = slot.load(std::memory_order_acquire);
   while (cur < completion &&
          !slot.compare_exchange_weak(cur, completion,
@@ -257,7 +258,7 @@ void Runtime::note_delivery(int pe, ps_t completion) {
 }
 
 ps_t Runtime::last_delivery(int pe) const {
-  return delivery_[static_cast<std::size_t>(pe)]->load(
+  return delivery_[static_cast<std::size_t>(pe)].completion.load(
       std::memory_order_acquire);
 }
 
@@ -335,15 +336,15 @@ TokenBarrier& Runtime::token_barrier_for(const ActiveSet& as) {
 
 void Runtime::note_op(int pe, const char* op) noexcept {
   if (pe < 0 || static_cast<std::size_t>(pe) >= pe_states_.size()) return;
-  PeState& st = *pe_states_[static_cast<std::size_t>(pe)];
+  PeState& st = pe_states_[static_cast<std::size_t>(pe)];
   st.op.store(op, std::memory_order_relaxed);
-  st.op_seq.fetch_add(1, std::memory_order_relaxed);
+  tshmem_util::owner_add(st.op_seq, std::uint64_t{1});
 }
 
 void Runtime::note_lock_delta(int pe, int delta) noexcept {
   if (pe < 0 || static_cast<std::size_t>(pe) >= pe_states_.size()) return;
-  pe_states_[static_cast<std::size_t>(pe)]->held_locks.fetch_add(
-      delta, std::memory_order_relaxed);
+  tshmem_util::owner_add(pe_states_[static_cast<std::size_t>(pe)].held_locks,
+                         delta);
 }
 
 std::string Runtime::watchdog_report() const {
@@ -352,7 +353,7 @@ std::string Runtime::watchdog_report() const {
   for (int pe = 0; pe < npes_ && static_cast<std::size_t>(pe) <
                                      pe_states_.size();
        ++pe) {
-    const PeState& st = *pe_states_[static_cast<std::size_t>(pe)];
+    const PeState& st = pe_states_[static_cast<std::size_t>(pe)];
     const Tile& tile = device_.tile(pe);
     os << "\n  PE " << pe
        << ": op=" << st.op.load(std::memory_order_relaxed)
@@ -388,15 +389,9 @@ void Runtime::setup_job(int npes) {
                                  ArenaUnmap{arena_bytes});
   }
   contexts_.clear();
-  delivery_.clear();
+  delivery_ = std::vector<DeliverySlot>(static_cast<std::size_t>(npes));
   symmetry_slots_.assign(static_cast<std::size_t>(npes), 0);
-  for (int pe = 0; pe < npes; ++pe) {
-    delivery_.push_back(std::make_unique<std::atomic<ps_t>>(0));
-  }
-  pe_states_.clear();
-  for (int pe = 0; pe < npes; ++pe) {
-    pe_states_.push_back(std::make_unique<PeState>());
-  }
+  pe_states_ = std::vector<PeState>(static_cast<std::size_t>(npes));
   bounce_slots_.assign(static_cast<std::size_t>(npes), nullptr);
   bounce_slot_bytes_.assign(static_cast<std::size_t>(npes), 0);
   for (int pe = 0; pe < npes; ++pe) {

@@ -214,9 +214,11 @@ class Runtime {
   void* alloc_bounce(std::size_t bytes, int tile);
 
   /// Cached TMC spin barrier for an active set (BarrierAlgo::kTmcSpin).
+  /// Lives until the job ends; each Context looks it up once per set.
   tmc::SpinBarrier& spin_barrier_for(const ActiveSet& as);
   /// Cached token-barrier rendezvous for an active set (the host
   /// realization of BarrierAlgo::kLinearToken when token_rendezvous()).
+  /// Lives until the job ends; each Context looks it up once per set.
   TokenBarrier& token_barrier_for(const ActiveSet& as);
   /// True when this job's linear token barriers run as one host rendezvous
   /// per barrier instead of 2n UDN messages. Chosen once per job in
@@ -245,7 +247,9 @@ class Runtime {
 
   /// Per-PE liveness board feeding the watchdog diagnostic: each Context
   /// posts the name of the operation it is entering (static strings only)
-  /// and its lock hold count. Relaxed atomics; zero virtual-time cost.
+  /// and its lock hold count. Only PE `pe`'s own thread writes its entry
+  /// (relaxed loads and stores, no read-modify-write); the diagnostic
+  /// reads every entry. Zero virtual-time cost.
   void note_op(int pe, const char* op) noexcept;
   void note_lock_delta(int pe, int delta) noexcept;
 
@@ -311,7 +315,8 @@ class Runtime {
 
   // --- robustness state ----------------------------------------------------
   // One cache line per PE: every op of a PE writes its state (note_op),
-  // so two PEs sharing a line would stall each other on every op.
+  // so two PEs sharing a line would stall each other on every op. Only
+  // the PE's own thread writes it.
   struct alignas(64) PeState {
     std::atomic<const char*> op{"idle"};   // static strings only
     std::atomic<std::uint64_t> op_seq{0};
@@ -324,7 +329,7 @@ class Runtime {
   std::size_t racecheck_granule_ = 8;
   std::unique_ptr<analysis::RaceDetector> race_detector_;  // per-run
   std::vector<analysis::RaceReport> race_reports_;
-  std::vector<std::unique_ptr<PeState>> pe_states_;
+  std::vector<PeState> pe_states_;
   std::atomic<bool> running_{false};
 
   int npes_ = 0;
@@ -340,7 +345,12 @@ class Runtime {
   std::vector<std::unique_ptr<std::byte, ArenaUnmap>> private_arenas_;
   std::vector<std::unique_ptr<Context>> contexts_;
 
-  std::vector<std::unique_ptr<std::atomic<ps_t>>> delivery_;
+  // One cache line per PE: every put into a PE raises its delivery time,
+  // which that PE's wait_until reads.
+  struct alignas(64) DeliverySlot {
+    std::atomic<ps_t> completion{0};
+  };
+  std::vector<DeliverySlot> delivery_;
   std::vector<std::uint64_t> symmetry_slots_;
 
   // Persistent per-PE bounce slots (see alloc_bounce): indexed by PE, each

@@ -1,7 +1,8 @@
 // Tests for TSHMEM synchronization: the linear UDN token barrier (all
 // algorithms, and its closed-form rendezvous against the token messages,
 // clock for clock and record for record),
-// active sets, fence/quiet, wait/wait_until, and locks.
+// active sets and each PE's table of them, fence/quiet, wait/wait_until,
+// and locks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -388,6 +389,81 @@ TEST(TokenRendezvous, FollowsTheConsumerSet) {
   opts = {};
   opts.fault_plan = tilesim::FaultPlan::parse(kMessagePathPlan);
   EXPECT_FALSE(rendezvous(opts)) << "fault plan";
+}
+
+// --- the per-Context active-set table -----------------------------------------
+
+// Each PE keeps one entry per active set it synchronizes over: the set's
+// barrier and collective sequence numbers and its barrier objects. This
+// job alternates world barriers, barriers on two disjoint sub-sets (PEs
+// 0, 2, 4, 6 and PEs 1, 3, 5, 7) by token and by TMC spin, and a
+// broadcast and a reduction on each sub-set, from seeded clock skews.
+constexpr int kSetTablePes = 8;
+
+std::vector<PeOutcome> run_set_table_job(Runtime& rt) {
+  rt.run(kSetTablePes, [](Context& ctx) {
+    const int me = ctx.my_pe();
+    const ActiveSet mine{me % 2, 1, kSetTablePes / 2};
+    long* src = ctx.shmalloc_n<long>(4);
+    long* dst = ctx.shmalloc_n<long>(4);
+    std::mt19937_64 rng(31u * static_cast<unsigned>(me) + 7u);
+    for (int round = 0; round < 6; ++round) {
+      ctx.clock().advance(rng() % 2'000'000);
+      ctx.barrier_all();
+      ctx.clock().advance(rng() % 2'000'000);
+      ctx.barrier(mine);
+      for (int i = 0; i < 4; ++i) src[i] = me * 10 + round + i;
+      ctx.broadcast(dst, src, 4 * sizeof(long), round % 4, mine);
+      ctx.reduce(dst, src, 4, tshmem::RedOp::kSum, mine);
+      long want = 0;
+      for (int i = 0; i < mine.pe_size; ++i) {
+        want += mine.pe_at(i) * 10 + round;
+      }
+      EXPECT_EQ(dst[0], want) << "PE " << me << " round " << round;
+      ctx.barrier(mine, BarrierAlgo::kTmcSpin);
+    }
+    ctx.barrier_all();
+    ctx.shfree(dst);
+    ctx.shfree(src);
+  });
+  std::vector<PeOutcome> out;
+  for (int pe = 0; pe < kSetTablePes; ++pe) {
+    const tilesim::SimClock& clk = rt.device().tile(pe).clock();
+    const auto traffic = rt.udn().traffic(pe);
+    out.push_back(PeOutcome{clk.now(), clk.busy_ps(), clk.idle_ps(),
+                            traffic.packets, traffic.words, traffic.hops});
+  }
+  return out;
+}
+
+TEST(ActiveSetTable, InterleavedSetsMatchTokenMessages) {
+  Runtime on_rendezvous(tilesim::tile_gx36());
+  tshmem::RuntimeOptions opts;
+  opts.fault_plan = tilesim::FaultPlan::parse(kMessagePathPlan);
+  Runtime on_messages(tilesim::tile_gx36(), opts);
+  const auto rendezvous = run_set_table_job(on_rendezvous);
+  const auto messages = run_set_table_job(on_messages);
+  ASSERT_EQ(rendezvous.size(), messages.size());
+  for (std::size_t pe = 0; pe < rendezvous.size(); ++pe) {
+    EXPECT_EQ(rendezvous[pe], messages[pe]) << "PE " << pe;
+  }
+}
+
+// The table lives in the Context, which a job's teardown destroys with the
+// Runtime's barrier objects; the next job on the same Runtime looks the
+// objects up afresh (tools/ci.sh runs this under AddressSanitizer, which
+// fails a read of a freed one). Clocks restart at every run, so the second
+// job ends where the first did; traffic counts accumulate.
+TEST(ActiveSetTable, NextJobOnTheRuntimeStartsAFreshTable) {
+  Runtime rt(tilesim::tile_gx36());
+  const auto first = run_set_table_job(rt);
+  const auto second = run_set_table_job(rt);
+  for (std::size_t pe = 0; pe < first.size(); ++pe) {
+    EXPECT_EQ(second[pe].now, first[pe].now) << "PE " << pe;
+    EXPECT_EQ(second[pe].busy, first[pe].busy) << "PE " << pe;
+    EXPECT_EQ(second[pe].idle, first[pe].idle) << "PE " << pe;
+    EXPECT_EQ(second[pe].packets, 2 * first[pe].packets) << "PE " << pe;
+  }
 }
 
 // What every probe consumer keeps of one job. Its per-PE recorder rings

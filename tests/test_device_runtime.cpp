@@ -1,5 +1,6 @@
 // Tests for the Device/Tile runtime itself: thread binding, clock
-// lifecycle, host synchronization primitives (host_sync and the
+// lifecycle and its single-owner writes, the copy-cost memo, host
+// synchronization primitives (host_sync and the
 // Rendezvous every host-side meeting is built on), reentrancy guards, the
 // spin-then-park decision of blocking waits, and the crew of host threads
 // each Device keeps from run to run.
@@ -21,6 +22,7 @@
 #include "sim/device.hpp"
 #include "sim/guarded_wait.hpp"
 #include "sim/rendezvous.hpp"
+#include "tmc/interrupt.hpp"
 #include "tshmem/context.hpp"
 #include "tshmem/runtime.hpp"
 #include "util/rng.hpp"
@@ -44,18 +46,67 @@ TEST(SimClock, AdvanceAndAdvanceTo) {
   EXPECT_EQ(c.now(), 0u);
 }
 
-TEST(SimClock, ConcurrentAdvanceToIsMaxMonotone) {
+// Seeded mixes of advance, advance_to (forward and backward) and reset:
+// the owner's busy and idle split its clock exactly after every step.
+TEST(SimClock, BusyPlusIdleEqualsNowAfterMixedWrites) {
   SimClock c;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&c, t] {
-      for (int i = 0; i < 1000; ++i) {
-        c.advance_to(static_cast<tilesim::ps_t>(t * 1000 + i));
+  tshmem_util::Xoshiro256 rng(26);
+  tilesim::ps_t busy = 0;
+  tilesim::ps_t idle = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t op = rng.below(100);
+    if (op < 45) {
+      const tilesim::ps_t d = rng.below(5000);
+      c.advance(d);
+      busy += d;
+    } else if (op < 98) {
+      // About half of the targets lie behind the clock: no-ops.
+      const tilesim::ps_t now = c.now();
+      const tilesim::ps_t t =
+          now - std::min<tilesim::ps_t>(now, 4000) + rng.below(8000);
+      if (t > now) idle += t - now;
+      c.advance_to(t);
+    } else {
+      c.reset();
+      busy = idle = 0;
+    }
+    ASSERT_EQ(c.busy_ps(), busy) << "step " << i;
+    ASSERT_EQ(c.idle_ps(), idle) << "step " << i;
+    ASSERT_EQ(c.busy_ps() + c.idle_ps(), c.now()) << "step " << i;
+  }
+}
+
+// One owner thread writes the clock while other threads read it, as
+// barrier releases, UDN stamps and scrapes do: every reader sees the
+// clock only move forward, and the owner's split stays exact.
+TEST(SimClock, ReadersSeeTheOwnersTimeOnlyMoveForward) {
+  SimClock c;
+  constexpr tilesim::ps_t kEnd = 2'000'000;
+  std::atomic<bool> done{false};
+  std::atomic<int> backwards{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      tilesim::ps_t last = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        const tilesim::ps_t now = c.now();
+        if (now < last) backwards.fetch_add(1);
+        last = now;
       }
     });
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(c.now(), 7999u);
+  tilesim::ps_t step = 0;
+  while (c.now() < kEnd) {
+    if (++step % 3 == 0) {
+      c.advance_to(c.now() + step % 7);
+    } else {
+      c.advance(step % 5);
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(backwards.load(), 0);
+  EXPECT_EQ(c.busy_ps() + c.idle_ps(), c.now());
 }
 
 TEST(DeviceRuntime, BindsOneThreadPerTileWithCurrent) {
@@ -136,6 +187,87 @@ TEST(DeviceRuntime, ChargesUseConfiguredCosts) {
     EXPECT_EQ(tile.clock().now() - t0,
               7 * c.int_op_ps + 3 * c.fp_op_ps + 2 * c.mem_op_ps + c.call_ps);
   });
+}
+
+// --- the copy-cost memo ----------------------------------------------------
+
+// Requests that differ from the base in one field at a time: each field's
+// variants follow one another, then the walk returns to the base.
+std::vector<tilesim::CopyRequest> one_field_walk() {
+  using tilesim::CopyRequest;
+  using tilesim::Homing;
+  using tilesim::MemSpace;
+  CopyRequest base;
+  base.bytes = 4096;
+  std::vector<CopyRequest> walk{CopyRequest{}, base};
+  auto vary = [&](auto&& set, auto... values) {
+    for (const auto v : {values...}) {
+      CopyRequest r = base;
+      set(r, v);
+      walk.push_back(r);
+    }
+    walk.push_back(base);
+  };
+  vary([](CopyRequest& r, std::size_t v) { r.bytes = v; }, std::size_t{0},
+       std::size_t{8}, std::size_t{4097}, std::size_t{1} << 20);
+  vary([](CopyRequest& r, MemSpace v) { r.src = v; }, MemSpace::kPrivate);
+  vary([](CopyRequest& r, MemSpace v) { r.dst = v; }, MemSpace::kPrivate);
+  vary([](CopyRequest& r, Homing v) { r.homing = v; }, Homing::kLocal,
+       Homing::kRemote);
+  vary([](CopyRequest& r, int v) { r.concurrent_readers = v; }, 2, 17);
+  vary([](CopyRequest& r, int v) { r.concurrent_writers = v; }, 3, 36);
+  return walk;
+}
+
+const tilesim::DeviceConfig* const kBothDevices[] = {&tilesim::tile_gx36(),
+                                                     &tilesim::tile_pro64()};
+
+// Tile::charge_copy keeps its last request and its cost: every charge, a
+// repeat or a change of one field, moves the clock by exactly the model's
+// cost of that request.
+TEST(CopyMemo, EveryChargeIsTheModelsCost) {
+  const auto walk = one_field_walk();
+  for (const tilesim::DeviceConfig* cfg : kBothDevices) {
+    Device device(*cfg);
+    Tile& tile = device.tile(0);
+    for (std::size_t i = 0; i < walk.size(); ++i) {
+      const tilesim::ps_t want = device.mem_model().copy_cost_ps(walk[i]);
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        const tilesim::ps_t before = tile.clock().now();
+        tile.charge_copy(walk[i]);
+        ASSERT_EQ(tile.clock().now() - before, want)
+            << cfg->name << " request " << i << " repeat " << repeat;
+      }
+    }
+  }
+}
+
+// An interrupt service tile is charged by whichever requester holds its
+// target's lock. Three requesters walk the requests in different orders
+// on one target, so its memo sees them interleaved; each charge must
+// still be the model's cost.
+TEST(CopyMemo, ServiceTileChargedByThreeRequesters) {
+  const auto walk = one_field_walk();
+  Device device(tilesim::tile_gx36());
+  tmc::InterruptController intc(device);
+  std::atomic<int> wrong{0};
+  device.run(4, [&](Tile& tile) {
+    if (tile.id() == 0) return;
+    for (std::size_t i = 0; i < 3 * walk.size(); ++i) {
+      const auto& req =
+          walk[(i * static_cast<std::size_t>(tile.id())) % walk.size()];
+      const tilesim::ps_t want = device.mem_model().copy_cost_ps(req);
+      intc.raise(tile, 0, [&](Tile& service) {
+        for (int repeat = 0; repeat < 2; ++repeat) {
+          const tilesim::ps_t before = service.clock().now();
+          service.charge_copy(req);
+          if (service.clock().now() - before != want) wrong.fetch_add(1);
+        }
+      });
+    }
+  });
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(intc.serviced(0), 3 * 3 * walk.size());
 }
 
 TEST(SpinDecision, SpinsWhileTileThreadsFitOnCpus) {

@@ -40,6 +40,8 @@ TEST(Metrics, CounterAndGauge) {
   c.inc();
   c.add(41);
   EXPECT_EQ(c.value(), 42u);
+  c.owner_add(8);
+  EXPECT_EQ(c.value(), 50u);
 
   Gauge g;
   g.set(100);
@@ -78,21 +80,31 @@ TEST(Metrics, HistogramBucketEdges) {
   }
 }
 
+// record() and the single-writer owner_record() aggregate alike.
 TEST(Metrics, HistogramRecordAggregates) {
-  Log2Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min(), std::numeric_limits<std::uint64_t>::max());
-  EXPECT_EQ(h.max(), 0u);
-  for (const std::uint64_t s : {0ull, 1ull, 3ull, 4ull, 1000ull}) h.record(s);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.sum(), 1008u);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_EQ(h.max(), 1000u);
-  EXPECT_EQ(h.bucket_count(0), 1u);   // 0
-  EXPECT_EQ(h.bucket_count(1), 1u);   // 1
-  EXPECT_EQ(h.bucket_count(2), 1u);   // 3
-  EXPECT_EQ(h.bucket_count(3), 1u);   // 4
-  EXPECT_EQ(h.bucket_count(10), 1u);  // 1000 in [512, 1023]
+  for (const bool owner : {false, true}) {
+    SCOPED_TRACE(owner ? "owner_record" : "record");
+    Log2Histogram h;
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.min(), std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(h.max(), 0u);
+    for (const std::uint64_t s : {3ull, 1000ull, 0ull, 4ull, 1ull}) {
+      if (owner) {
+        h.owner_record(s);
+      } else {
+        h.record(s);
+      }
+    }
+    EXPECT_EQ(h.count(), 5u);
+    EXPECT_EQ(h.sum(), 1008u);
+    EXPECT_EQ(h.min(), 0u);
+    EXPECT_EQ(h.max(), 1000u);
+    EXPECT_EQ(h.bucket_count(0), 1u);   // 0
+    EXPECT_EQ(h.bucket_count(1), 1u);   // 1
+    EXPECT_EQ(h.bucket_count(2), 1u);   // 3
+    EXPECT_EQ(h.bucket_count(3), 1u);   // 4
+    EXPECT_EQ(h.bucket_count(10), 1u);  // 1000 in [512, 1023]
+  }
 }
 
 // ===========================================================================

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <string_view>
+#include <vector>
 
 #include "obs/flightrec.hpp"
 #include "sim/device.hpp"
@@ -231,6 +232,61 @@ TEST(Interrupts, SerializedPerTargetTile) {
       EXPECT_EQ(intc.serviced(7), 70u);
     }
   });
+}
+
+// Three PEs put into a static object on PE 0, each put an interrupt
+// serviced on PE 0's behalf, while PE 0 runs puts of its own. The
+// requesters write only their own clocks and PE 0's service clock, one at
+// a time under PE 0's lock: PE 0's own clock ends exactly where it ends
+// with no requester at all, and every clock's busy and idle add up.
+struct ClockSplit {
+  tilesim::ps_t now, busy, idle;
+  friend bool operator==(const ClockSplit&, const ClockSplit&) = default;
+};
+
+TEST(Interrupts, RequestersNeverChargeTheTargetsClock) {
+  constexpr int kPuts = 200;
+  const auto run = [](bool requesters, std::uint64_t* raised,
+                      std::uint64_t* serviced) {
+    tshmem::Runtime rt(tilesim::tile_gx36());
+    std::vector<ClockSplit> out(4);
+    rt.run(4, [&](tshmem::Context& ctx) {
+      const int me = ctx.my_pe();
+      long* stat = ctx.static_sym<long>("interrupt_target", 4);
+      long* dyn = ctx.shmalloc_n<long>(16);
+      dyn[0] = me;
+      ctx.barrier_all();
+      for (int i = 0; i < kPuts; ++i) {
+        if (me == 0) {
+          ctx.put(dyn + 8, dyn, 4 * sizeof(long), 0);
+        } else if (requesters) {
+          ctx.put(stat + me, dyn, sizeof(long), 0);
+        }
+      }
+      const tilesim::SimClock& c = ctx.clock();
+      out[static_cast<std::size_t>(me)] = {c.now(), c.busy_ps(), c.idle_ps()};
+      ctx.barrier_all();
+      if (me == 0 && requesters) {
+        for (int pe = 1; pe < 4; ++pe) EXPECT_EQ(stat[pe], pe);
+      }
+      ctx.shfree(dyn);
+    });
+    for (int pe = 0; pe < 4; ++pe) {
+      raised[pe] = rt.interrupts().raised(pe);
+    }
+    *serviced = rt.interrupts().serviced(0);
+    return out;
+  };
+  std::uint64_t raised[4];
+  std::uint64_t serviced = 0;
+  const std::vector<ClockSplit> alone = run(false, raised, &serviced);
+  EXPECT_EQ(serviced, 0u);
+  const std::vector<ClockSplit> shared = run(true, raised, &serviced);
+  EXPECT_EQ(shared[0], alone[0]);
+  EXPECT_EQ(raised[0], 0u);
+  for (int pe = 1; pe < 4; ++pe) EXPECT_EQ(raised[pe], kPuts) << "PE " << pe;
+  EXPECT_EQ(serviced, 3u * kPuts);
+  for (const ClockSplit& c : shared) EXPECT_EQ(c.busy + c.idle, c.now);
 }
 
 }  // namespace

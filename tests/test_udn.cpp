@@ -3,6 +3,7 @@
 // the Table III derivation.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -205,6 +206,40 @@ TEST_F(UdnTest, EffectiveThroughputMatchesPaperTable) {
   EXPECT_NEAR(mbits(14, 13), 2900, 150);
   EXPECT_NEAR(mbits(6, 11), 2500, 100);
   EXPECT_NEAR(mbits(0, 35), 2000, 100);
+}
+
+// Four tiles send to the next while they receive from the previous, so
+// every sender injects concurrently with the others. Each tile's traffic
+// counts are written by that tile alone, and equal what it sent.
+TEST(UdnTraffic, TotalsEqualPacketsSent) {
+  Device device(tilesim::tile_gx36());
+  UdnFabric udn(device);
+  constexpr int kTiles = 4;
+  constexpr int kPackets = 600;
+  device.run(kTiles, [&](Tile& tile) {
+    const int next = (tile.id() + 1) % kTiles;
+    const std::uint64_t words[3] = {1, 2, 3};
+    for (int i = 0; i < kPackets; ++i) {
+      udn.send(tile, next, i % 2,
+               std::span<const std::uint64_t>(words, 1 + i % 3));
+      // The closed-form path counts as a send with no packet moving.
+      if (i % 5 == 0) udn.send_unqueued(tile, next, 2);
+      (void)udn.recv(tile, i % 2);
+    }
+  });
+  for (int t = 0; t < kTiles; ++t) {
+    const auto traffic = udn.traffic(t);
+    const std::uint64_t sends = kPackets + kPackets / 5;
+    // 1, 2, 3 words in turn, plus 2 words per closed-form send.
+    const std::uint64_t words = kPackets / 3 * 6 + kPackets / 5 * 2;
+    EXPECT_EQ(traffic.packets, sends) << "tile " << t;
+    EXPECT_EQ(traffic.words, words) << "tile " << t;
+    EXPECT_EQ(traffic.hops,
+              sends * static_cast<std::uint64_t>(device.topology().hops(
+                          t, (t + 1) % kTiles)))
+        << "tile " << t;
+    EXPECT_EQ(traffic.retries, 0u);
+  }
 }
 
 }  // namespace

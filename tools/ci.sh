@@ -248,6 +248,18 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   "$TSAN_DIR"/tests/test_device_runtime --gtest_filter='DeviceCrew.*' \
     --gtest_repeat=20
   "$TSAN_DIR"/tests/test_udn --gtest_repeat=10
+  # A tile's clock, its UDN traffic counts and its interrupt count have
+  # one writer, the tile's own thread, which adds without a locked
+  # read-modify-write; an interrupt service clock has several, one at a
+  # time under its target's lock. Repeat the owner-write tests: clocks
+  # read while written, the copy-cost memo of a service tile three
+  # requesters share, a target's clock beside three requesters, and four
+  # concurrent senders' traffic counts.
+  "$TSAN_DIR"/tests/test_device_runtime --gtest_filter='SimClock.*:CopyMemo.*' \
+    --gtest_repeat=20
+  "$TSAN_DIR"/tests/test_tmc_barrier --gtest_filter='Interrupts.*' \
+    --gtest_repeat=20
+  "$TSAN_DIR"/tests/test_udn --gtest_filter='UdnTraffic.*' --gtest_repeat=20
   "$TSAN_DIR"/tests/test_barrier_sync \
     --gtest_filter='Devices/TokenRendezvousTest.*' --gtest_repeat=10
   # The rendezvous releases every PE at once into live recorder rings,
@@ -278,7 +290,8 @@ fi
 
 if [ "${TSHMEM_CI_ASAN:-1}" != "0" ]; then
   echo "== asan+ubsan (test_fault_injection, test_failure_injection," \
-       "test_nbi, test_flightrec, test_apps_cbir, test_device_runtime)"
+       "test_nbi, test_flightrec, test_apps_cbir, test_device_runtime," \
+       "test_barrier_sync's active-set table)"
   ASAN_DIR="${BUILD_DIR}-asan"
   cmake -B "$ASAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -286,7 +299,7 @@ if [ "${TSHMEM_CI_ASAN:-1}" != "0" ]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
   cmake --build "$ASAN_DIR" -j \
     --target test_fault_injection test_failure_injection test_nbi \
-    test_flightrec test_apps_cbir test_device_runtime
+    test_flightrec test_apps_cbir test_device_runtime test_barrier_sync
   # ASan/UBSan abort on the first finding, so a clean gtest pass means a
   # clean run (including the error/exception paths the fault tests force).
   "$ASAN_DIR"/tests/test_fault_injection
@@ -301,6 +314,9 @@ if [ "${TSHMEM_CI_ASAN:-1}" != "0" ]; then
   # Each Device's crew: its teardown, parked or spinning, and the paths of
   # a tile that throws on the caller's thread or on a crew thread.
   "$ASAN_DIR"/tests/test_device_runtime
+  # Each PE's table of active sets keeps pointers to the Runtime's barrier
+  # objects, which a job's teardown frees: the next job must not read one.
+  "$ASAN_DIR"/tests/test_barrier_sync --gtest_filter='ActiveSetTable.*'
 else
   echo "== asan+ubsan: skipped (TSHMEM_CI_ASAN=0)"
 fi
@@ -415,8 +431,12 @@ ok = [b for b in doc["benches"] if b["exit_code"] == 0]
 vt = [b for b in ok if b["total_vt_ps"]]
 assert len(ok) == len(doc["benches"]), "bench failures"
 assert vt, "no bench produced a virtual-time profile"
+# Gated benches record their plain runs' [min, max]; older files have none.
+spreads = [b["plain_spread_s"] for b in ok if b.get("plain_spread_s")]
+widest = max((hi / lo for lo, hi in spreads if lo), default=1.0)
 print(f"perf OK: {len(ok)} benches, {len(vt)} with profiles, "
-      f"total wall {doc['totals']['wall_s']:.1f}s")
+      f"total wall {doc['totals']['wall_s']:.1f}s, {len(spreads)} spreads "
+      f"(widest max/min {widest:.2f}x)")
 EOF
 else
   echo "== perf trajectory: skipped (TSHMEM_CI_PERF=0)"
