@@ -4,10 +4,12 @@
 // round-trips, address classification, and the virtual-clock primitives.
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/cache_sim.hpp"
 #include "sim/clock.hpp"
+#include "sim/device.hpp"
 #include "sim/mem_model.hpp"
 #include "sim/topology.hpp"
 #include "tshmem/symheap.hpp"
@@ -63,7 +65,29 @@ void BM_MemModelCopyCost(benchmark::State& state) {
     benchmark::DoNotOptimize(model.copy_cost_ps(req));
   }
 }
-BENCHMARK(BM_MemModelCopyCost)->Arg(64)->Arg(1 << 20);
+BENCHMARK(BM_MemModelCopyCost)->Arg(8)->Arg(64)->Arg(1 << 20);
+
+// Tile::charge_copy for the one-word get behind every ctx.g. With
+// alternate=0 each charge repeats the tile's last request, which its memo
+// answers; with alternate=1 gets and puts take turns, so every charge
+// evaluates the model.
+void BM_TileChargeCopy(benchmark::State& state) {
+  tilesim::Device device(tilesim::tile_gx36());
+  tilesim::Tile& tile = device.tile(0);
+  tilesim::CopyRequest get;
+  get.bytes = 8;
+  get.src = tilesim::MemSpace::kShared;
+  get.dst = tilesim::MemSpace::kPrivate;
+  tilesim::CopyRequest put = get;
+  std::swap(put.src, put.dst);
+  const bool alternate = state.range(0) != 0;
+  bool odd = false;
+  for (auto _ : state) {
+    tile.charge_copy(alternate && (odd = !odd) ? put : get);
+  }
+  benchmark::DoNotOptimize(tile.clock().now());
+}
+BENCHMARK(BM_TileChargeCopy)->ArgName("alternate")->Arg(0)->Arg(1);
 
 void BM_SimClockAdvance(benchmark::State& state) {
   tilesim::SimClock clock;

@@ -45,7 +45,7 @@ class Tile {
 
   /// Charge a modeled memory copy: MemModel::copy_cost_ps(req), which is
   /// a pure function of the request, so the tile keeps the last request
-  /// and its cost and charges a repeat without evaluating the curve.
+  /// and its cost and charges a repeat without calling the model.
   void charge_copy(const CopyRequest& req);
 
   /// This tile's asynchronous DMA engine (non-blocking TSHMEM transfers).
